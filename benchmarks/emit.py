@@ -19,8 +19,6 @@ Sampling schema::
       "schema": 2,
       "unit": "samples_per_second",
       "host": {"cpu_count": ..., "platform": ..., ...},
-      "throughput_floor": {"fraction": 0.7, "asserted": ...,
-                           "skipped_reason": ...},
       "results": [
         {"n": 1000, "backend": "columnar", "samples": ...,
          "seconds": ..., "samples_per_second": ...,
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments.host import BENCH_SCHEMA, host_block
 
@@ -94,20 +92,12 @@ def write_serve_report(results: List[Dict], deadline_ms: float) -> Path:
     return SERVE_REPORT
 
 
-def write_sampling_report(
-    results: List[Dict],
-    floor_fraction: Optional[float] = None,
-    floor_skipped_reason: Optional[str] = None,
-) -> Path:
+def write_sampling_report(results: List[Dict]) -> Path:
     """Write ``BENCH_sampling.json`` from backend throughput rows.
 
     Each row needs ``n``, ``backend``, ``samples``, and ``seconds``;
     derived fields (throughput, speedup vs the serial backend at the
-    same ``n``) are filled in here so callers only measure. The
-    ``throughput_floor`` block records whether the process backend's
-    0.7×cores floor was actually asserted — on single-core hosts the
-    assertion is skipped and the numbers are dispatch overhead, which
-    the report must say explicitly rather than imply a measured floor.
+    same ``n``) are filled in here so callers only measure.
     """
     serial_seconds = {
         row["n"]: row["seconds"]
@@ -130,18 +120,12 @@ def write_sampling_report(
         if base is not None and seconds > 0:
             out["speedup_vs_serial"] = base / seconds
         enriched.append(out)
-    payload: Dict[str, Any] = {
+    payload = {
         "schema": BENCH_SCHEMA,
         "unit": "samples_per_second",
         "host": host_block(),
         "results": enriched,
     }
-    if floor_fraction is not None:
-        payload["throughput_floor"] = {
-            "fraction": float(floor_fraction),
-            "asserted": floor_skipped_reason is None,
-            "skipped_reason": floor_skipped_reason,
-        }
     SAMPLING_REPORT.write_text(json.dumps(payload, indent=2) + "\n")
     return SAMPLING_REPORT
 

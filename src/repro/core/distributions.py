@@ -31,18 +31,14 @@ Carlo and MCMC evaluators are built on these plans (see
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
-import pickle
-import struct
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special
 
-from . import shm
 from .errors import EvaluationError, ModelError
 from .piecewise import PiecewisePolynomial
 
@@ -68,7 +64,6 @@ __all__ = [
     "ConvolutionScore",
     "FamilyBatch",
     "SamplingPlan",
-    "SharedPlanHandle",
     "build_sampling_plan",
 ]
 
@@ -1250,120 +1245,6 @@ class SamplingPlan:
             values = group.batch_cdf(x_arr)
             out *= np.prod(values[:, keep], axis=1)
         return out
-
-    def export_shared(
-        self, extra: Optional[Dict[str, Any]] = None
-    ) -> "SharedPlanHandle":
-        """Export this plan into a shared-memory segment.
-
-        The segment holds the plan's numeric parameter arrays verbatim
-        plus a pickled skeleton (group objects with those arrays
-        stripped, segment layout, and the caller-supplied ``extra``
-        payload). Workers rebuild the plan with
-        :meth:`attach_shared`, mapping the arrays zero-copy instead of
-        unpickling them per task. Object-holding groups (histogram,
-        discrete, generic members) travel inside the pickle — they hold
-        per-record Python objects, not stackable columns.
-
-        The caller owns the returned handle and must eventually call
-        :meth:`SharedPlanHandle.unlink`; :func:`repro.core.shm.live_segments`
-        tracks outstanding names.
-        """
-        layout: List[Tuple[int, str, int, str, Tuple[int, ...]]] = []
-        arrays: List[Tuple[int, np.ndarray]] = []
-        cursor = _SHM_HEADER.size
-        for gi, group in enumerate(self.groups):
-            for attr in sorted(vars(group)):
-                value = vars(group)[attr]
-                if isinstance(value, np.ndarray) and value.dtype != object:
-                    arr = np.ascontiguousarray(value)
-                    cursor = -(-cursor // 16) * 16
-                    layout.append(
-                        (gi, attr, cursor, arr.dtype.str, arr.shape)
-                    )
-                    arrays.append((cursor, arr))
-                    cursor += arr.nbytes
-        skeletons: List[FamilyBatch] = []
-        for gi, group in enumerate(self.groups):
-            clone = copy.copy(group)
-            for entry in layout:
-                if entry[0] == gi:
-                    setattr(clone, entry[1], None)
-            skeletons.append(clone)
-        meta = {
-            "groups": skeletons,
-            "n": self.n,
-            "layout": layout,
-            "extra": extra,
-        }
-        blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-        segment = shm.create_segment(cursor + len(blob))
-        _SHM_HEADER.pack_into(segment.buf, 0, cursor, len(blob))
-        for offset, arr in arrays:
-            segment.buf[offset : offset + arr.nbytes] = arr.tobytes()
-        segment.buf[cursor : cursor + len(blob)] = blob
-        return SharedPlanHandle(segment.name, segment)
-
-    @classmethod
-    def attach_shared(cls, handle: "SharedPlanHandle") -> "SamplingPlan":
-        """Rebuild a plan from a segment produced by :meth:`export_shared`.
-
-        Numeric arrays are read-only views into the mapped segment
-        (zero-copy); the attached plan keeps the mapping alive for its
-        own lifetime and exposes the exporter's payload as
-        ``shared_extra``. Attaching never adopts ownership — only the
-        exporting process unlinks.
-        """
-        segment = shm.attach_segment(handle.name)
-        pickle_off, pickle_len = _SHM_HEADER.unpack_from(segment.buf, 0)
-        meta = pickle.loads(
-            bytes(segment.buf[pickle_off : pickle_off + pickle_len])
-        )
-        groups: List[FamilyBatch] = meta["groups"]
-        for gi, attr, offset, dtype, shape in meta["layout"]:
-            view: np.ndarray = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
-            )
-            view.flags.writeable = False
-            setattr(groups[gi], attr, view)
-        plan = cls(groups, meta["n"])
-        plan._segment = segment  # keep the mapping alive with the plan
-        plan.shared_extra = meta["extra"]
-        return plan
-
-
-#: Segment header: byte offset and length of the pickled skeleton that
-#: follows the raw parameter arrays.
-_SHM_HEADER = struct.Struct("<QQ")
-
-
-class SharedPlanHandle:
-    """Picklable reference to an exported :class:`SamplingPlan` segment.
-
-    Only the segment name crosses process boundaries; the creating
-    process additionally holds the :class:`SharedMemory` object so
-    :meth:`unlink` can release the kernel object. ``unlink`` is
-    idempotent and safe to call after a worker crash — the parent's
-    mapping survives dead children.
-    """
-
-    __slots__ = ("name", "_segment")
-
-    def __init__(self, name: str, segment: Any = None) -> None:
-        self.name = name
-        self._segment = segment
-
-    def __getstate__(self) -> str:
-        return self.name
-
-    def __setstate__(self, state: str) -> None:
-        self.name = state
-        self._segment = None
-
-    def unlink(self) -> None:
-        """Release the segment (parent side). Idempotent."""
-        shm.unlink_segment(self._segment if self._segment is not None else self.name)
-        self._segment = None
 
 
 def build_sampling_plan(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -81,7 +80,6 @@ from .costmodel import (
 from .numeric import wilson_half_width
 from .parallel import (
     DEFAULT_SHARDS,
-    PROCESS_CROSSOVER,
     ParallelSampler,
     resolve_workers,
 )
@@ -139,7 +137,6 @@ class _EvalContext:
     method: str
     sampler_seed: int
     mcmc_seed: int
-    backend: str = "thread"
     events: List[DegradationEvent] = field(default_factory=list)
     partial: bool = False
     truncated: bool = False
@@ -200,20 +197,6 @@ class RankingEngine:
         chains on that many threads. Because shard streams are derived
         from a fixed shard count, every result is identical for every
         worker count; the knob only changes wall-clock time.
-    backend:
-        Where sharded sampling work runs when ``workers`` is set:
-        ``"thread"`` (default) uses an in-process pool, ``"process"``
-        ships the compiled sampling plan to a pool of worker processes
-        through shared memory (no pickling per task), and ``"auto"``
-        picks processes only when it can pay off — multiple workers, a
-        multi-core host, and a database at least
-        :data:`~repro.core.parallel.PROCESS_CROSSOVER` records large.
-        Results are bit-identical across backends (shard streams are
-        derived the same way everywhere); a per-query ``backend=``
-        override narrows or widens the choice for one query. A copula
-        forces threads — correlated evaluators are built from closures
-        that cannot cross a process boundary — and ``"process"`` with a
-        copula is refused at construction.
     budget:
         Optional default :class:`~repro.core.budget.Budget` applied to
         every query (a per-query ``budget=`` argument overrides it).
@@ -280,7 +263,6 @@ class RankingEngine:
         psrf_threshold: float = 1.05,
         copula=None,
         workers: Union[int, str, None] = None,
-        backend: str = "thread",
         budget: Optional[Budget] = None,
         cache: Union[ComputationCache, str, None] = None,
         trace: bool = False,
@@ -289,14 +271,6 @@ class RankingEngine:
     ) -> None:
         if not records:
             raise QueryError("cannot rank an empty database")
-        if backend not in ("thread", "process", "auto"):
-            raise QueryError(f"unknown execution backend {backend!r}")
-        if backend == "process" and copula is not None:
-            raise QueryError(
-                "backend='process' is unavailable with a copula: "
-                "correlated evaluators cannot cross a process boundary; "
-                "use backend='thread' or 'auto'"
-            )
         self.records = list(records)
         self.rng = np.random.default_rng(seed)
         # Resolve eagerly so a bad value fails at construction, not at
@@ -304,12 +278,10 @@ class RankingEngine:
         self.workers: Optional[int] = (
             None if workers is None else resolve_workers(workers)
         )
-        self.backend = backend
         # Every ParallelSampler this engine builds, so close() can tear
-        # down their pools and shared-memory segments. Samplers re-create
-        # resources lazily, so a closed engine (or a sampler shared
-        # through a common cache) remains usable — close() only releases
-        # what is currently held.
+        # down their thread pools. Samplers re-create pools lazily, so a
+        # closed engine (or a sampler shared through a common cache)
+        # remains usable — close() only releases what is currently held.
         self._owned_samplers: List[ParallelSampler] = []
         self.prune = prune
         self.exact_record_limit = exact_record_limit
@@ -636,35 +608,6 @@ class RankingEngine:
             base = base + ("copula", self._copula_token)
         return base
 
-    def _effective_backend(self, override: Optional[str] = None) -> str:
-        """Resolve the execution backend for one query.
-
-        ``override`` (a per-query ``backend=``) takes precedence over
-        the engine knob. ``"auto"`` picks processes only when they can
-        pay off: multiple workers, a multi-core host, no copula, and a
-        database at least ``PROCESS_CROSSOVER`` records large —
-        otherwise shared-memory export and task marshalling cost more
-        than the GIL relief buys. An explicit ``"process"`` under a
-        copula is refused (correlated evaluators are closures).
-        """
-        backend = self.backend if override is None else override
-        if backend == "process" and self.copula is not None:
-            raise QueryError(
-                "backend='process' is unavailable with a copula: "
-                "correlated evaluators cannot cross a process boundary"
-            )
-        if backend == "auto":
-            backend = (
-                "process"
-                if self.copula is None
-                and self.workers is not None
-                and self.workers > 1
-                and (os.cpu_count() or 1) > 1
-                and len(self.records) >= PROCESS_CROSSOVER
-                else "thread"
-            )
-        return backend
-
     def _mcmc_call_seed(
         self,
         target: str,
@@ -713,54 +656,31 @@ class RankingEngine:
         subset: Sequence[UncertainRecord],
         fp: str,
         sampler_seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> Union[MonteCarloEvaluator, ParallelSampler]:
         """Monte-Carlo front-end over ``subset``, cached by fingerprint.
 
         With ``workers=None`` this is a single evaluator; otherwise a
         sharded :class:`ParallelSampler` whose results are worker-count
-        and backend invariant. The evaluator object is keyed by the
-        worker count and backend too (a sampler built for one pool
-        shape should not decide another engine's parallelism), but the
-        *counts* it produces are keyed by :meth:`_backend_key` alone
-        and therefore shared.
-
-        Without a copula the sampler receives the compiled plan
-        directly (``plan=``), which keeps the process backend available;
-        a copula needs per-shard correlated evaluators, so it passes a
-        closure factory and stays on threads (enforced upstream by
-        :meth:`_effective_backend`).
+        invariant. The evaluator object is keyed by the worker count too
+        (a sampler built for one pool shape should not decide another
+        engine's parallelism), but the *counts* it produces are keyed by
+        :meth:`_backend_key` alone and therefore shared.
         """
         seed = self._sampler_seed if sampler_seed is None else sampler_seed
-        effective = (
-            self._effective_backend(None) if backend is None else backend
-        )
 
         def build() -> Union[MonteCarloEvaluator, ParallelSampler]:
-            plan = self._plan_for(fp, subset)
+            factory = self._sampler_factory(subset, self._plan_for(fp, subset))
             if self.workers is None:
-                return self._sampler_factory(subset, plan)(seed)
-            if self.copula is not None:
-                sampler = ParallelSampler(
-                    subset,
-                    seed=seed,
-                    workers=self.workers,
-                    factory=self._sampler_factory(subset, plan),
-                )
-            else:
-                sampler = ParallelSampler(
-                    subset,
-                    seed=seed,
-                    workers=self.workers,
-                    plan=plan,
-                    backend=effective,
-                )
+                return factory(seed)
+            sampler = ParallelSampler(
+                subset, seed=seed, workers=self.workers, factory=factory
+            )
             self._owned_samplers.append(sampler)  # reprolint: disable=CON001 -- samplers are only built on the query thread (cache builds run inline); worker pools never construct samplers
             return sampler
 
         return self.cache.artifact(
             "sampler",
-            (fp, self._backend_key(sampler_seed), self.workers, effective),
+            (fp, self._backend_key(sampler_seed), self.workers),
             build,
         )
 
@@ -1075,7 +995,6 @@ class RankingEngine:
             method=self._guard_copula(spec.method),
             sampler_seed=sampler_seed,
             mcmc_seed=mcmc_seed,
-            backend=self._effective_backend(spec.backend),
         )
         enabled = self.trace if spec.trace is None else spec.trace
         root: Optional[Span] = (
@@ -1187,7 +1106,6 @@ class RankingEngine:
         budget: Optional[Budget] = None,
         seed: Optional[int] = None,
         trace: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate l-UTop-Rank(i, j).
 
@@ -1212,7 +1130,6 @@ class RankingEngine:
                 budget=budget,
                 seed=seed,
                 trace=trace,
-                backend=backend,
             )
         )
 
@@ -1244,7 +1161,7 @@ class RankingEngine:
                 ]
 
         def run_montecarlo() -> List[RecordAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             # A budgeted plan may serve straight from a covered
             # rank-count block at its (smaller) sample count instead of
             # drawing a fresh top-up; the result is flagged partial
@@ -1428,7 +1345,6 @@ class RankingEngine:
         budget: Optional[Budget] = None,
         seed: Optional[int] = None,
         trace: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """PT-k semantics under score uncertainty (Hua et al. [17]).
 
@@ -1445,7 +1361,6 @@ class RankingEngine:
                 budget=budget,
                 seed=seed,
                 trace=trace,
-                backend=backend,
             )
         )
 
@@ -1562,7 +1477,6 @@ class RankingEngine:
         budget: Optional[Budget] = None,
         seed: Optional[int] = None,
         trace: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate l-UTop-Prefix(k).
 
@@ -1583,7 +1497,6 @@ class RankingEngine:
                 budget=budget,
                 seed=seed,
                 trace=trace,
-                backend=backend,
             )
         )
 
@@ -1663,7 +1576,7 @@ class RankingEngine:
             return [PrefixAnswer(p, prob) for p, prob in scored[:l]]
 
         def run_mcmc() -> List[PrefixAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             matrix_samples = max(2000, base_samples // 5)
             rank_matrix: Optional[np.ndarray] = None
             with span("sample", requested=matrix_samples) as sample_span:
@@ -1695,7 +1608,6 @@ class RankingEngine:
                         workers=self.workers,
                         plan=self._plan_for(fp, pruned),
                         pairwise_cache=self._pairwise_cache(),
-                        backend=ctx.backend,
                     )
                     return sim.run(
                         max_steps=self.mcmc_steps,
@@ -1747,7 +1659,7 @@ class RankingEngine:
             ]
 
         def run_montecarlo() -> List[PrefixAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             requested = base_samples
             denom = requested
             with span("sample", requested=requested):
@@ -1829,7 +1741,6 @@ class RankingEngine:
         budget: Optional[Budget] = None,
         seed: Optional[int] = None,
         trace: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate l-UTop-Set(k); methods and ladder as in :meth:`utop_prefix`."""
         return self.query(
@@ -1841,7 +1752,6 @@ class RankingEngine:
                 budget=budget,
                 seed=seed,
                 trace=trace,
-                backend=backend,
             )
         )
 
@@ -1917,7 +1827,7 @@ class RankingEngine:
             return [SetAnswer(m, prob) for m, prob in scored[:l]]
 
         def run_mcmc() -> List[SetAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             matrix_samples = max(2000, base_samples // 5)
             rank_matrix: Optional[np.ndarray] = None
             with span("sample", requested=matrix_samples) as sample_span:
@@ -1947,7 +1857,6 @@ class RankingEngine:
                         workers=self.workers,
                         plan=self._plan_for(fp, pruned),
                         pairwise_cache=self._pairwise_cache(),
-                        backend=ctx.backend,
                     )
                     return sim.run(
                         max_steps=self.mcmc_steps,
@@ -1989,6 +1898,7 @@ class RankingEngine:
                 "total_steps": result.total_steps,
                 "acceptance_rate": result.acceptance_rate,
                 "states_visited": result.states_visited,
+                "psrf": result.trace.psrf[-1] if result.trace.psrf else None,
             }
             return [
                 SetAnswer(frozenset(key), prob)
@@ -1996,7 +1906,7 @@ class RankingEngine:
             ]
 
         def run_montecarlo() -> List[SetAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             requested = base_samples
             denom = requested
             with span("sample", requested=requested):
@@ -2071,15 +1981,14 @@ class RankingEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release pools and shared-memory segments this engine created.
+        """Release the thread pools this engine created.
 
-        Tears down every owned :class:`ParallelSampler` — their thread
-        and process pools and exported plan segments. Idempotent, and
-        not terminal: samplers re-create resources lazily, so an engine
-        can keep answering queries after ``close()`` (it just starts
-        cold). Samplers obtained from a shared computation cache may be
-        serving other engines; closing them here is safe for the same
-        reason.
+        Tears down every owned :class:`ParallelSampler`'s pool.
+        Idempotent, and not terminal: samplers re-create pools lazily,
+        so an engine can keep answering queries after ``close()`` (it
+        just starts cold). Samplers obtained from a shared computation
+        cache may be serving other engines; closing them here is safe
+        for the same reason.
         """
         for sampler in self._owned_samplers:
             sampler.close()
@@ -2138,8 +2047,6 @@ class RankingEngine:
             "pruning_enabled": self.prune,
             "exact_densities": supports_exact(pruned),
             "workers": self.workers,
-            "backend": self.backend,
-            "effective_backend": self._effective_backend(None),
             "fingerprint": fp,
             "cache": self.cache.stats().to_dict(),
             "observability": {
@@ -2248,7 +2155,6 @@ class RankingEngine:
         samples: Optional[int] = None,
         seed: Optional[int] = None,
         trace: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate Rank-Agg under the footrule distance (Theorem 2).
 
@@ -2263,7 +2169,6 @@ class RankingEngine:
                 samples=samples,
                 seed=seed,
                 trace=trace,
-                backend=backend,
             )
         )
 
@@ -2293,7 +2198,7 @@ class RankingEngine:
                     ).rank_probability_matrix()
                 tolerance = 1e-9
             else:
-                sampler = self._sampler(records, fp, ctx.sampler_seed, ctx.backend)
+                sampler = self._sampler(records, fp, ctx.sampler_seed)
                 with span("sample", requested=requested) as sample_span:
                     sc = self._rank_counts(
                         fp,

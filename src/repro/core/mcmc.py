@@ -28,15 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import multiprocessing
-import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
     Hashable,
@@ -52,13 +48,13 @@ import numpy as np
 from . import metrics
 from .budget import Budget
 from .diagnostics import ConvergenceTrace, gelman_rubin
-from .distributions import SamplingPlan, SharedPlanHandle, build_sampling_plan
+from .distributions import SamplingPlan, build_sampling_plan
 from .errors import ConvergenceError, EvaluationError, QueryError
 from .exact import ExactEvaluator, supports_exact
 from .montecarlo import MonteCarloEvaluator
 from .pairwise import PairwiseCache, probability_greater
-from .metrics import MetricsRegistry, active_registry, use_registry
-from .parallel import _START_METHOD, resolve_workers
+from .metrics import active_registry, use_registry
+from .parallel import resolve_workers
 from .records import UncertainRecord
 from .trace import Span, activate, current_span
 
@@ -86,48 +82,6 @@ def _state_seed(ids: Sequence[str]) -> int:
         "\x1f".join(ids).encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-def _oracle_with_retry(
-    oracle: Callable[[Hashable], float],
-    key: Hashable,
-    retries: int,
-    backoff: float,
-) -> float:
-    """One oracle evaluation with bounded retry-with-backoff.
-
-    Shared by the in-process simulation (:meth:`TopKSimulation._call_oracle`)
-    and worker processes, so the retry/backoff/metrics behaviour is
-    identical on every execution backend. The oracle is a pure function
-    of ``key``, so a successful retry reproduces the clean value.
-    """
-    attempts = retries + 1
-    for attempt in range(1, attempts + 1):
-        try:
-            return oracle(key)
-        except QueryError:
-            # Invalid state keys fail identically forever.
-            raise
-        except Exception as exc:
-            if attempt >= attempts:
-                raise ConvergenceError(
-                    f"state-probability oracle failed {attempts} "
-                    f"time(s) for state {key!r}: {exc}"
-                ) from exc
-            logger.warning(
-                "oracle failed for state %r (%s: %s); retry %d/%d",
-                key,
-                type(exc).__name__,
-                exc,
-                attempt,
-                retries,
-            )
-            metrics.inc("mcmc_oracle_retries_total")
-            if backoff > 0.0:
-                time.sleep(backoff * (2.0 ** (attempt - 1)))
-    raise ConvergenceError(  # pragma: no cover - loop always returns/raises
-        f"oracle produced no value for state {key!r}"
-    )
 
 
 def prefix_probability_upper_bound(rank_matrix: np.ndarray, k: int) -> float:
@@ -215,61 +169,6 @@ class MetropolisHastingsChain:  # reprolint: disable-scope=CON001 -- thread-conf
         self.visit_counts: Dict[Hashable, int] = {self._key(self.state): 1}
         self.accepted = 0
         self.steps = 0
-
-    # -- cross-process state round-trip --------------------------------
-
-    def export_state(self) -> Dict[str, Hashable]:
-        """The chain's mutable walk state as one picklable payload.
-
-        Everything a worker process needs to continue the walk — and
-        everything the parent needs back afterwards: the current state
-        and its ``pi``, the trace, the visited/visit-count maps, the
-        acceptance tally, and the chain's generator (NumPy generators
-        pickle with their exact bit-generator state, so the continued
-        walk consumes the same stream the in-process walk would).
-        """
-        return {
-            "state": self.state,
-            "pi": self.pi,
-            "trace": self.trace,
-            "visited": self.visited,
-            "visit_counts": self.visit_counts,
-            "accepted": self.accepted,
-            "steps": self.steps,
-            "rng": self.rng,
-        }
-
-    def import_state(self, data: Dict[str, Hashable]) -> None:
-        """Adopt walk state previously captured by :meth:`export_state`."""
-        self.state = tuple(data["state"])
-        self.pi = float(data["pi"])
-        self.trace = list(data["trace"])
-        self.visited = dict(data["visited"])
-        self.visit_counts = dict(data["visit_counts"])
-        self.accepted = int(data["accepted"])
-        self.steps = int(data["steps"])
-        self.rng = data["rng"]
-
-    @classmethod
-    def from_state(
-        cls,
-        records: Sequence[UncertainRecord],
-        k: int,
-        target: str,
-        state_probability: Callable[[Hashable], float],
-        pairwise: Callable[[UncertainRecord, UncertainRecord], float],
-        data: Dict[str, Hashable],
-    ) -> "MetropolisHastingsChain":
-        """Rebuild a chain around exported state without re-running the
-        initial oracle call (``__init__`` would recompute ``pi``)."""
-        chain = cls.__new__(cls)
-        chain.records = records
-        chain.k = k
-        chain.target = target
-        chain._pi_of_key = state_probability
-        chain._pairwise = pairwise
-        chain.import_state(data)
-        return chain
 
     def _key(self, state: Tuple[int, ...]) -> Hashable:
         ids = tuple(self.records[i].record_id for i in state[: self.k])
@@ -477,17 +376,6 @@ class TopKSimulation:
         this shared cache instead of a private one, so pairwise
         integrals are shared with the exact and rank-aggregation
         paths.
-    backend:
-        ``"thread"`` (default), ``"process"``, or ``"auto"``. With
-        ``"process"``, each epoch ships chain walk states to a pool of
-        worker processes that rebuild the state-probability oracle from
-        a shared-memory descriptor and continue the walks there. Chain
-        generators round-trip with their exact bit-generator state and
-        the oracles are pure functions of the state key, so results are
-        bit-identical to the thread backend. Requires a built-in oracle
-        (a custom ``state_probability`` closure cannot be shipped to
-        another process); ``"auto"`` falls back to threads in that case
-        or on single-core hosts.
     """
 
     def __init__(
@@ -508,12 +396,9 @@ class TopKSimulation:
         retry_backoff: float = 0.05,
         plan: Optional[SamplingPlan] = None,
         pairwise_cache: Optional[PairwiseCache] = None,
-        backend: str = "thread",
     ) -> None:
         if target not in ("prefix", "set"):
             raise QueryError(f"unknown simulation target {target!r}")
-        if backend not in ("thread", "process", "auto"):
-            raise QueryError(f"unknown execution backend {backend!r}")
         if k < 1 or k > len(records):
             raise QueryError(f"invalid k={k} for database of {len(records)}")
         if n_chains < 2:
@@ -543,30 +428,9 @@ class TopKSimulation:
         # The state-probability memo is shared across chain worker
         # threads (paper §VI-D "Caching"), so reads/writes take a lock.
         self._state_lock = threading.Lock()
-        # Oracle descriptor for the process backend: worker processes
-        # rebuild the oracle from (kind, seed, pi_samples) rather than
-        # receiving the closure, which cannot be pickled. ``_build_oracle``
-        # overwrites kind/seed when it constructs a built-in oracle.
-        self._oracle_kind = "custom"
-        self._oracle_seed: Optional[int] = None
-        self._pi_samples = pi_samples
         self._oracle = state_probability or self._build_oracle(
             oracle, pi_samples, exact_oracle_limit
         )
-        if backend == "process" and self._oracle_kind == "custom":
-            raise QueryError(
-                "backend='process' cannot ship a custom state_probability "
-                "callable to worker processes; use backend='thread'"
-            )
-        if backend == "auto":
-            backend = (
-                "process"
-                if self._oracle_kind != "custom"
-                and self.workers > 1
-                and (os.cpu_count() or 1) > 1
-                else "thread"
-            )
-        self.backend = backend
         if use_pairwise_cache:
             # An injected cache (the engine's per-database Eq. 1 memo)
             # lets MCMC proposals reuse integrals computed by the exact
@@ -593,16 +457,15 @@ class TopKSimulation:
             )
             oracle = "exact" if use_exact else "montecarlo"
         if oracle == "exact":
-            self._oracle_kind = "exact"
             evaluator = ExactEvaluator(self.records)
             if self.target == "prefix":
                 return lambda key: evaluator.prefix_probability(list(key))
             return lambda key: evaluator.top_set_probability(list(key))
         if oracle != "montecarlo":
             raise QueryError(f"unknown state-probability oracle {oracle!r}")
-        self._oracle_kind = "montecarlo"
-        self._oracle_seed = int(self.rng.integers(2**63))
-        sampler = MonteCarloEvaluator(self.records, seed=self._oracle_seed)
+        sampler = MonteCarloEvaluator(
+            self.records, seed=int(self.rng.integers(2**63))
+        )
 
         # Sequential importance sampling (prefixes) and the CDF-product
         # estimator (sets) are unbiased and strictly positive for
@@ -643,8 +506,32 @@ class TopKSimulation:
         failure surfaces as :class:`ConvergenceError` with the original
         exception chained.
         """
-        return _oracle_with_retry(
-            self._oracle, key, self.oracle_retries, self.retry_backoff
+        attempts = self.oracle_retries + 1
+        for attempt in range(1, attempts + 1):
+            try:
+                return self._oracle(key)
+            except QueryError:
+                # Invalid state keys fail identically forever.
+                raise
+            except Exception as exc:
+                if attempt >= attempts:
+                    raise ConvergenceError(
+                        f"state-probability oracle failed {attempts} "
+                        f"time(s) for state {key!r}: {exc}"
+                    ) from exc
+                logger.warning(
+                    "oracle failed for state %r (%s: %s); retry %d/%d",
+                    key,
+                    type(exc).__name__,
+                    exc,
+                    attempt,
+                    self.oracle_retries,
+                )
+                metrics.inc("mcmc_oracle_retries_total")
+                if self.retry_backoff > 0.0:
+                    time.sleep(self.retry_backoff * (2.0 ** (attempt - 1)))
+        raise ConvergenceError(  # pragma: no cover - loop returns/raises
+            f"oracle produced no value for state {key!r}"
         )
 
     def _cached_pi(self, key: Hashable) -> float:
@@ -684,17 +571,13 @@ class TopKSimulation:
         min_epochs: int,
         budget: Optional[Budget] = None,
         advance: Optional[Callable[[int, int], None]] = None,
-        advance_all: Optional[Callable[[int], None]] = None,
     ) -> Tuple[bool, int, Optional[str]]:
         """Advance all chains epoch by epoch until mixing or the budget.
 
         With a thread pool, each chain advances on its own worker; a
         chain only touches its private generator and the shared
         memoization caches, whose entries are pure functions of their
-        keys, so any interleaving produces the same chains. When
-        ``advance_all`` is given (the process backend) it advances the
-        whole ensemble one epoch itself and ``pool``/``advance`` are
-        ignored.
+        keys, so any interleaving produces the same chains.
 
         A resource ``budget`` is consulted at epoch boundaries: when it
         expires, the walk stops where it stands and the caller reports
@@ -713,9 +596,7 @@ class TopKSimulation:
                 step = lambda index, steps: chains[index].run(steps)
             else:
                 step = advance
-            if advance_all is not None:
-                advance_all(todo)
-            elif pool is not None:
+            if pool is not None:
                 list(
                     pool.map(
                         lambda index: step(index, todo),
@@ -810,10 +691,9 @@ class TopKSimulation:
             )
             for c in range(self.n_chains)
         ]
-        use_processes = self.backend == "process" and self.workers > 1
         pool = (
             ThreadPoolExecutor(max_workers=self.workers)
-            if self.workers > 1 and not use_processes
+            if self.workers > 1
             else None
         )
         # Chains may advance on worker threads, which start with a
@@ -840,85 +720,6 @@ class TopKSimulation:
                     with activate(chain_spans[index]):
                         chains[index].run(steps)
 
-        # Process backend: the compiled plan's arrays plus a picklable
-        # oracle descriptor go into one shared-memory segment; each
-        # epoch round-trips every chain's walk state to a worker that
-        # continues the walk against its own rebuilt (deterministic)
-        # oracle. The PSRF check, budget, spans, and merge stay here.
-        process_pool: Optional[ProcessPoolExecutor] = None
-        segment: Optional[SharedPlanHandle] = None
-        advance_all: Optional[Callable[[int], None]] = None
-        if use_processes:
-            segment = self._plan.export_shared(
-                extra={
-                    "records": self.records,
-                    "mcmc": {
-                        "k": self.k,
-                        "target": self.target,
-                        "oracle_kind": self._oracle_kind,
-                        "oracle_seed": self._oracle_seed,
-                        "pi_samples": self._pi_samples,
-                        "use_pairwise_cache": self._pairwise_cache
-                        is not None,
-                        "oracle_retries": self.oracle_retries,
-                        "retry_backoff": self.retry_backoff,
-                    },
-                }
-            )
-            process_pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, self.n_chains),
-                mp_context=multiprocessing.get_context(_START_METHOD),
-            )
-
-            def advance_all(todo: int) -> None:
-                nonlocal process_pool
-                payloads = [
-                    {
-                        "segment": segment.name,
-                        "state": chain.export_state(),
-                        "steps": todo,
-                    }
-                    for chain in chains
-                ]
-                results = None
-                for attempt in (0, 1):
-                    try:
-                        results = list(
-                            process_pool.map(_advance_chain, payloads)
-                        )
-                        break
-                    except BrokenProcessPool as exc:
-                        # A worker died mid-epoch. The pre-epoch chain
-                        # states are still in ``payloads``, so a retry
-                        # on a fresh pool replays the epoch and lands
-                        # on bit-identical chains.
-                        process_pool.shutdown(
-                            wait=False, cancel_futures=True
-                        )
-                        process_pool = ProcessPoolExecutor(
-                            max_workers=min(self.workers, self.n_chains),
-                            mp_context=multiprocessing.get_context(
-                                _START_METHOD
-                            ),
-                        )
-                        if attempt:
-                            raise EvaluationError(
-                                "MCMC epoch failed twice: worker "
-                                "processes crashed"
-                            ) from exc
-                        logger.warning(
-                            "worker process crashed mid-epoch; retrying "
-                            "the epoch with identical chain states"
-                        )
-                        registry.inc("mcmc_epoch_retries_total")
-                for chain, (state, counter_rows, pairwise_rows) in zip(
-                    chains, results
-                ):
-                    chain.import_state(state)
-                    registry.absorb_counters(counter_rows)
-                    if self._pairwise_cache is not None:
-                        self._pairwise_cache.merge(pairwise_rows)
-
         trace = ConvergenceTrace(steps=[], psrf=[], elapsed=[])
         converged = False
         done = 0
@@ -927,15 +728,11 @@ class TopKSimulation:
             converged, done, stop_reason = self._run_epochs(
                 chains, pool, trace, start, max_steps, epoch,
                 psrf_threshold, min_epochs, budget=budget,
-                advance=advance, advance_all=advance_all,
+                advance=advance,
             )
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-            if process_pool is not None:
-                process_pool.shutdown(wait=True)
-            if segment is not None:
-                segment.unlink()
             if chain_spans is not None:
                 for chain_span, chain in zip(chain_spans, chains):
                     chain_span.set(
@@ -995,162 +792,3 @@ class TopKSimulation:
             return None
         return (self._pairwise_cache.hits, self._pairwise_cache.misses)
 
-
-# ----------------------------------------------------------------------
-# process-backend worker side
-# ----------------------------------------------------------------------
-
-def _worker_oracle(
-    records: Sequence[UncertainRecord],
-    target: str,
-    cfg: Dict[str, Any],
-) -> Callable[[Hashable], float]:
-    """Rebuild the state-probability oracle from its shipped descriptor.
-
-    Mirrors :meth:`TopKSimulation._build_oracle` exactly: the exact
-    oracle is deterministic by construction, and the Monte-Carlo oracle
-    re-seeds from the parent's captured draw and then seeds every state
-    estimate from the state key, so a worker's oracle returns the same
-    float the parent's would for every key.
-    """
-    if cfg["oracle_kind"] == "exact":
-        evaluator = ExactEvaluator(records)
-        if target == "prefix":
-            return lambda key: evaluator.prefix_probability(list(key))
-        return lambda key: evaluator.top_set_probability(list(key))
-    sampler = MonteCarloEvaluator(records, seed=cfg["oracle_seed"])
-    pi_samples = cfg["pi_samples"]
-    if target == "prefix":
-
-        def prefix_oracle(key: Hashable) -> float:
-            ids = list(key)
-            return sampler.prefix_probability_sis(
-                ids, pi_samples, seed=_state_seed(ids)
-            )
-
-        return prefix_oracle
-
-    def set_oracle(key: Hashable) -> float:
-        ids = sorted(key)
-        return sampler.top_set_probability_cdf(
-            ids, pi_samples, seed=_state_seed(ids)
-        )
-
-    return set_oracle
-
-
-class _WorkerChainContext:
-    """Per-process attachment to one simulation's shared segment.
-
-    Built once per (worker process, segment) and cached in
-    :data:`_CHAIN_CONTEXTS`: the records, rebuilt oracle, pairwise
-    memo, and state-probability cache all persist across the epochs a
-    worker serves, so the §VI-D caches warm up in the workers exactly
-    as they do in the parent's threads.
-    """
-
-    __slots__ = (
-        "records",
-        "k",
-        "target",
-        "pairwise",
-        "_pairwise_memo",
-        "_pairwise_shipped",
-        "_oracle",
-        "_retries",
-        "_backoff",
-        "_cache",
-    )
-
-    def __init__(self, name: str) -> None:
-        plan = SamplingPlan.attach_shared(SharedPlanHandle(name))
-        extra = plan.shared_extra
-        self.records = extra["records"]
-        cfg = extra["mcmc"]
-        self.k = int(cfg["k"])
-        self.target = str(cfg["target"])
-        self._retries = int(cfg["oracle_retries"])
-        self._backoff = float(cfg["retry_backoff"])
-        if cfg["use_pairwise_cache"]:
-            self._pairwise_memo: Optional[PairwiseCache] = PairwiseCache()
-            self.pairwise = self._pairwise_memo.probability
-        else:
-            self._pairwise_memo = None
-            self.pairwise = probability_greater
-        self._pairwise_shipped = 0
-        self._oracle = _worker_oracle(self.records, self.target, cfg)
-        self._cache: Dict[Hashable, float] = {}
-
-    def cached_pi(self, key: Hashable) -> float:
-        """Memoized oracle lookup (single-threaded inside a worker)."""
-        value = self._cache.get(key)
-        if value is None:
-            value = _oracle_with_retry(
-                self._oracle, key, self._retries, self._backoff
-            )
-            self._cache[key] = value
-        return value
-
-    def drain_pairwise(
-        self,
-    ) -> List[Tuple[Tuple[str, str], float]]:
-        """Pairwise integrals computed since the last drain.
-
-        Shipped home so the parent's shared §VI-D memo warms up exactly
-        as it would have had the proposals run on parent threads. After
-        a worker crash the replacement worker re-ships from scratch;
-        the parent's merge is idempotent, so that only costs bytes.
-        """
-        if self._pairwise_memo is None:
-            return []
-        fresh = self._pairwise_memo.snapshot(self._pairwise_shipped)
-        self._pairwise_shipped += len(fresh)  # reprolint: disable=CON001 -- worker-process-side counter: each pool worker is single-threaded, so its context is never shared
-        return fresh
-
-
-#: Worker-global context cache, keyed by segment name. Worker processes
-#: are single-threaded (one task at a time), so plain dict access is
-#: safe; entries live until the worker exits with the pool.
-_CHAIN_CONTEXTS: Dict[str, _WorkerChainContext] = {}
-
-
-def _worker_chain_context(name: str) -> _WorkerChainContext:
-    context = _CHAIN_CONTEXTS.get(name)
-    if context is None:
-        context = _WorkerChainContext(name)
-        _CHAIN_CONTEXTS[name] = context  # reprolint: disable=CON001 -- populated only inside single-threaded pool workers, never in the parent
-    return context
-
-
-def _advance_chain(
-    payload: Dict[str, Any],
-) -> Tuple[
-    Dict[str, Hashable],
-    List[Tuple[str, Dict[str, str], float]],
-    List[Tuple[Tuple[str, str], float]],
-]:
-    """Process-pool task: continue one chain's walk for one epoch.
-
-    Rebuilds a chain shell around the shipped walk state, advances it
-    under a private metrics registry, and returns the new state, the
-    counter rows for the parent to absorb, and the pairwise integrals
-    computed since the worker's last report (for the parent's shared
-    memo).
-    """
-    context = _worker_chain_context(payload["segment"])
-    chain = MetropolisHastingsChain.from_state(
-        context.records,
-        context.k,
-        context.target,
-        context.cached_pi,
-        context.pairwise,
-        payload["state"],
-    )
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        chain.run(payload["steps"])
-    return (
-        chain.export_state(),
-        registry.counter_items(),
-        context.drain_pairwise(),
-    )

@@ -295,33 +295,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_count{base} {row['count']}")
         return "\n".join(lines) + "\n"
 
-    # -- cross-process marshalling -------------------------------------
-
-    def counter_items(self) -> List[Tuple[str, Dict[str, str], float]]:
-        """Flat ``(name, labels, value)`` rows for every counter series.
-
-        This is the wire format worker processes ship home: their
-        contextvar sink cannot reach the parent's registry, so each
-        worker task runs against a private registry and returns these
-        rows for the dispatcher to :meth:`absorb_counters`. Only
-        counters travel — they are the sole metric kind the sampling
-        and MCMC hot paths emit, and their merge (addition) is exact.
-        """
-        with self._lock:
-            return [
-                (name, dict(key), value)
-                for name, series in sorted(self._counters.items())
-                for key, value in sorted(series.items())
-            ]
-
-    def absorb_counters(
-        self, rows: List[Tuple[str, Dict[str, str], float]]
-    ) -> None:
-        """Replay :meth:`counter_items` rows into this registry."""
-        for name, labels, value in rows:
-            if value > 0:
-                self.inc(name, value, **labels)
-
     def reset(self) -> None:
         """Drop every series (primarily for tests on the global registry)."""
         with self._lock:

@@ -18,7 +18,7 @@ per unordered pair.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from scipy import integrate
 
@@ -144,31 +144,9 @@ class PairwiseCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def snapshot(
-        self, start: int = 0
-    ) -> List[Tuple[Tuple[str, str], float]]:
-        """Entries in insertion order, skipping the first ``start``.
-
-        Dicts preserve insertion order and this store is append-only
-        between :meth:`clear` calls, so ``snapshot(n)`` returns exactly
-        the entries added after an earlier ``len(cache) == n``
-        observation. The process-backend MCMC workers use this to ship
-        only the integrals computed since their last report.
-        """
-        items = list(self._store.items())
-        return items if start <= 0 else items[start:]
-
-    def merge(
-        self, items: Iterable[Tuple[Tuple[str, str], float]]
-    ) -> None:
-        """Adopt entries computed elsewhere (existing entries win).
-
-        The integrals are pure functions of the record pair, so a
-        duplicate arriving from another process carries the same value
-        and keeping the incumbent is exact, not a policy choice.
-        """
-        for key, value in items:
-            self._store.setdefault(tuple(key), value)  # reprolint: disable=CON001 -- merge() runs on the query thread between MCMC epochs, after the process pool has returned; no worker touches this store
+    def snapshot(self) -> List[Tuple[Tuple[str, str], float]]:
+        """Every cached ``((a_id, b_id), Pr(a > b))`` entry, oldest first."""
+        return list(self._store.items())
 
     def carry_forward(
         self, dirty: AbstractSet[str]

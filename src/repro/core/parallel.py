@@ -10,54 +10,26 @@ depend only on the root seed and the shard index), and merges partial
 results in shard order. Consequences:
 
 - For a given ``(seed, shards)`` pair the merged counts and estimates
-  are **bit-identical for any worker count and any backend** — workers
-  only decide which thread or process happens to execute a shard, never
-  what the shard computes.
+  are **bit-identical for any worker count** — workers only decide
+  which thread happens to execute a shard, never what the shard
+  computes.
 - Shard evaluators are plain :class:`~repro.core.montecarlo.
   MonteCarloEvaluator` instances (or copula-aware subclasses via the
   ``factory`` hook), so every estimator stays available.
 
-Two execution backends share that contract:
-
-- ``backend="thread"`` — a lazily created, reusable
-  :class:`~concurrent.futures.ThreadPoolExecutor`. The columnar kernels
-  spend their time inside NumPy, which releases the GIL, and thread
-  workers share the immutable per-shard evaluators without pickling the
-  database — but Python-level shard bookkeeping still serializes on the
-  GIL.
-- ``backend="process"`` — a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` reused across
-  queries. The compiled :class:`~repro.core.distributions.SamplingPlan`
-  is exported once into a shared-memory segment
-  (:meth:`SamplingPlan.export_shared`); workers attach it zero-copy and
-  cache per-shard evaluators keyed by segment name, so a task ships
-  only a shard index and a method spec. Budgets cross the process line
-  through :meth:`~repro.core.budget.Budget.worker_view`; per-shard
-  spans and counters are recorded worker-side and grafted back into the
-  parent's span tree and metrics registry. A worker death surfaces as
-  ``BrokenProcessPool``: the pool is rebuilt and the dead shards rerun
-  once with the same ``SeedSequence`` children, so the retried run is
-  byte-identical.
-
-``backend="auto"`` picks processes above a measured database-size
-crossover (:data:`PROCESS_CROSSOVER`) on multi-core hosts and threads
-below it. See docs/DEVELOPMENT.md, "Performance architecture".
+Shards run on a lazily created, reusable
+:class:`~concurrent.futures.ThreadPoolExecutor`. The columnar kernels
+spend their time inside NumPy, which releases the GIL, and worker
+threads share the per-shard evaluators without pickling the database.
+See docs/DEVELOPMENT.md, "Performance architecture".
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import threading
-import weakref
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -67,7 +39,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TypeVar,
     Union,
@@ -76,12 +47,11 @@ from typing import (
 import numpy as np
 
 from . import metrics
-from .budget import Budget, SampleCounts, WorkerBudget, WorkerBudgetView
-from .distributions import SamplingPlan, SharedPlanHandle
+from .budget import Budget, SampleCounts
 from .errors import EvaluationError, QueryError
-from .metrics import MetricsRegistry, active_registry, use_registry
+from .metrics import active_registry, use_registry
 from .montecarlo import MonteCarloEvaluator, select_top_rank_candidates
-from .trace import Span, activate, current_span, span_under
+from .trace import current_span, span_under
 from .numeric import clamp_probability
 from .records import UncertainRecord
 
@@ -89,7 +59,6 @@ __all__ = [
     "ParallelSampler",
     "resolve_workers",
     "DEFAULT_SHARDS",
-    "PROCESS_CROSSOVER",
 ]
 
 logger = logging.getLogger(__name__)
@@ -104,24 +73,6 @@ DEFAULT_SHARDS = 8
 #: ``workers="auto"`` never claims more threads than this; sampling
 #: saturates memory bandwidth well before high core counts pay off.
 _AUTO_WORKER_CAP = 8
-
-#: Database size at which ``backend="auto"`` switches from threads to
-#: processes (multi-core hosts only). Measured with
-#: ``benchmarks/bench_sampling_backend.py``: below ~2000 records a
-#: shard's NumPy kernels finish in tens of microseconds and the
-#: per-task IPC round-trip dominates; above it the GIL-free workers
-#: win. See BENCH_sampling.json.
-PROCESS_CROSSOVER = 2000
-
-#: Start method for the process backend. ``fork`` (Linux) inherits the
-#: parent's modules and the shared-segment registry, making worker
-#: start-up cheap; elsewhere fall back to ``spawn``, where workers
-#: re-import and attach segments by name.
-_START_METHOD = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
-
-_BACKENDS = ("thread", "process", "auto")
 
 _OVERSUB_LOCK = threading.Lock()
 _oversub_warned = False
@@ -210,35 +161,22 @@ class ParallelSampler:
         the sampled values (not their distribution).
     factory:
         Optional ``(seed) -> MonteCarloEvaluator`` constructor for the
-        per-shard evaluators; inject a copula-aware builder here.
-        Factories are closures and cannot cross process boundaries, so
-        they are incompatible with ``backend="process"`` (``"auto"``
-        falls back to threads).
-    plan:
-        Optional precompiled sampling plan (``compile_plan`` over the
-        same records) forwarded to the default factory so the shard
-        evaluators share one compiled plan instead of building
-        ``shards`` copies. Ignored when ``factory`` is given.
-    backend:
-        ``"thread"`` (default), ``"process"``, or ``"auto"`` (processes
-        above :data:`PROCESS_CROSSOVER` records on multi-core hosts).
-        Merged results are bit-identical across backends; the knob only
-        trades dispatch overhead against GIL-free execution.
+        per-shard evaluators; inject a copula-aware builder, or one
+        that shares a precompiled sampling plan across shards, here.
 
     Determinism contract
     --------------------
     Every public method takes an optional ``seed`` (default 0) that is
     forwarded as the per-call seed of each shard evaluator, so results
     depend only on ``(constructor seed, shards, method, arguments)`` —
-    never on call order, worker count, backend, or thread scheduling.
+    never on call order, worker count, or thread scheduling.
 
     Lifecycle
     ---------
-    Worker pools and the shared-memory segment are created lazily and
-    reused across calls; :meth:`close` (or the context-manager form)
-    releases them. A closed sampler stays usable — resources are
-    re-created on the next call — so a shared computation cache may
-    hand one sampler to several engines.
+    The worker pool is created lazily and reused across calls;
+    :meth:`close` (or the context-manager form) releases it. A closed
+    sampler stays usable — the pool is re-created on the next call — so
+    a shared computation cache may hand one sampler to several engines.
     """
 
     def __init__(
@@ -248,137 +186,53 @@ class ParallelSampler:
         workers: Union[int, str, None] = "auto",
         shards: int = DEFAULT_SHARDS,
         factory: Optional[Callable[[int], MonteCarloEvaluator]] = None,
-        plan: Optional[SamplingPlan] = None,
-        backend: str = "thread",
     ) -> None:
         if shards < 1:
             raise QueryError("shards must be a positive integer")
-        if backend not in _BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
         self.records = list(records)
         self.shards = int(shards)
         self.workers = resolve_workers(workers, tasks=self.shards)
-        self._default_factory = factory is None
-        if backend == "auto":
-            backend = (
-                "process"
-                if (
-                    self._default_factory
-                    and self.workers > 1
-                    and (os.cpu_count() or 1) > 1
-                    and len(self.records) >= PROCESS_CROSSOVER
-                )
-                else "thread"
-            )
-        if backend == "process" and not self._default_factory:
-            raise QueryError(
-                "backend='process' requires the default evaluator factory; "
-                "custom factories (e.g. copula-aware evaluators) cannot "
-                "cross process boundaries — use backend='thread'"
-            )
-        self.backend = backend
         self._seed_seq = np.random.SeedSequence(seed)
-        self._plan = plan
         if factory is None:
-            factory = lambda s: MonteCarloEvaluator(
-                self.records, seed=s, plan=plan
-            )
+            factory = lambda s: MonteCarloEvaluator(self.records, seed=s)
         # Child seeds depend only on (seed, shard index): hash the
         # spawned child sequences down to ints so each shard evaluator
         # owns a full SeedSequence root for its per-call streams.
-        self._child_seeds: List[int] = [
+        child_seeds = [
             int(child.generate_state(1, dtype=np.uint64)[0])
             for child in self._seed_seq.spawn(self.shards)
         ]
         self._evaluators: List[MonteCarloEvaluator] = [
-            factory(s) for s in self._child_seeds
+            factory(s) for s in child_seeds
         ]
         self._pool_lock = threading.Lock()
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._segment_handle: Optional[SharedPlanHandle] = None
-        self._segment_finalizer: Optional[weakref.finalize] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
-    # pool and segment lifecycle
+    # pool lifecycle
     # ------------------------------------------------------------------
 
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         """The reusable shard thread pool, created on first use."""
         with self._pool_lock:
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
                     max_workers=min(self.workers, self.shards),
                     thread_name_prefix="repro-shard",
                 )
-            return self._thread_pool
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        """The persistent worker-process pool, created on first use."""
-        with self._pool_lock:
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=min(self.workers, self.shards),
-                    mp_context=multiprocessing.get_context(_START_METHOD),
-                )
-            return self._process_pool
-
-    def _discard_process_pool(self) -> None:
-        """Drop a (possibly broken) process pool; the next use rebuilds."""
-        with self._pool_lock:
-            pool = self._process_pool
-            self._process_pool = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _ensure_segment(self) -> SharedPlanHandle:
-        """Export the sampling plan (plus worker bootstrap) once."""
-        with self._pool_lock:
-            if self._segment_handle is None:
-                plan = (
-                    self._plan
-                    if self._plan is not None
-                    else self._evaluators[0]._plan
-                )
-                handle = plan.export_shared(
-                    extra={
-                        "records": self.records,
-                        "child_seeds": self._child_seeds,
-                    }
-                )
-                self._segment_handle = handle
-                # GC backstop: a sampler dropped without close() must
-                # not leak a named kernel object.
-                self._segment_finalizer = weakref.finalize(
-                    self, handle.unlink
-                )
-            return self._segment_handle
+            return self._pool
 
     def close(self) -> None:
-        """Tear down pools and the shared segment. Idempotent.
+        """Tear down the worker pool. Idempotent.
 
-        The sampler remains usable afterwards: pools and the segment
-        are re-created lazily on the next call.
+        The sampler remains usable afterwards: the pool is re-created
+        lazily on the next call.
         """
         with self._pool_lock:
-            thread_pool = self._thread_pool
-            process_pool = self._process_pool
-            handle = self._segment_handle
-            finalizer = self._segment_finalizer
-            self._thread_pool = None
-            self._process_pool = None
-            self._segment_handle = None
-            self._segment_finalizer = None
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
-        if finalizer is not None:
-            finalizer.detach()
-        if handle is not None:
-            handle.unlink()
+            pool = self._pool
+            self._pool = None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "ParallelSampler":
         return self
@@ -401,16 +255,12 @@ class ParallelSampler:
         self,
         fn: Callable[[int, int], _T],
         samples: int,
-        spec: Optional[Dict[str, Any]] = None,
-        budget: Optional[Budget] = None,
     ) -> List[Tuple[int, _T]]:
         """Run ``fn(shard_index, shard_samples)`` over all busy shards.
 
         Results come back in shard order regardless of which worker ran
         which shard; empty shards (budget smaller than the shard count)
-        are skipped deterministically. ``spec`` describes the same
-        per-shard work as an evaluator method call so the process
-        backend can ship it to workers instead of the closure.
+        are skipped deterministically.
 
         Fault tolerance: a shard that raises is retried **once** with
         the same shard index — and therefore the same evaluator and the
@@ -419,22 +269,12 @@ class ParallelSampler:
         streams are derived from ``(shard seed, call seed)`` alone, the
         retry reproduces the crashed attempt bit-for-bit. A second
         failure surfaces as :class:`~repro.core.errors.EvaluationError`.
-        The process backend extends the same semantics to worker
-        *death*: ``BrokenProcessPool`` rebuilds the pool and reruns the
-        affected shards once.
         """
         tasks = [
             (idx, size)
             for idx, size in enumerate(self.shard_sizes(samples))
             if size > 0
         ]
-        if (
-            self.backend == "process"
-            and spec is not None
-            and self.workers > 1
-            and len(tasks) > 1
-        ):
-            return self._map_shards_process(spec, tasks, budget)
         # Worker threads start with a fresh context: capture the active
         # span and metrics registry here, in the dispatching thread, and
         # re-install them inside each shard so per-shard spans land on
@@ -473,109 +313,9 @@ class ParallelSampler:
 
         if self.workers == 1 or len(tasks) <= 1:
             return [(idx, attempt(idx, size)) for idx, size in tasks]
-        pool = self._ensure_thread_pool()
+        pool = self._ensure_pool()
         results = list(pool.map(lambda t: attempt(t[0], t[1]), tasks))
         return [(idx, result) for (idx, _), result in zip(tasks, results)]
-
-    def _map_shards_process(
-        self,
-        spec: Dict[str, Any],
-        tasks: List[Tuple[int, int]],
-        budget: Optional[Budget],
-    ) -> List[Tuple[int, Any]]:
-        """Dispatch shard specs to the persistent process pool.
-
-        Mirrors the thread path's retry contract (one retry per shard,
-        same seeds) and its observability: each worker records a local
-        ``shard`` span and counter deltas, which are grafted into the
-        parent span tree and replayed into the active registry here.
-        While futures are outstanding the dispatcher keeps the budget's
-        shared block fresh so cancellations and deadline crossings
-        reach workers at their next chunk boundary.
-        """
-        parent = current_span()
-        registry = active_registry()
-        handle = self._ensure_segment()
-        view = budget.worker_view() if budget is not None else None
-        payloads: Dict[int, Dict[str, Any]] = {
-            idx: {
-                "segment": handle.name,
-                "shard": idx,
-                "size": size,
-                "spec": spec,
-                "budget": view,
-                "trace": parent is not None,
-            }
-            for idx, size in tasks
-        }
-        results: Dict[int, Tuple[Any, Optional[Dict[str, Any]], list]] = {}
-        retried: Set[int] = set()
-        pending: List[int] = [idx for idx, _ in tasks]
-        for round_index in range(2):
-            if not pending:
-                break
-            pool = self._ensure_process_pool()
-            try:
-                futures: Dict[int, Future] = {
-                    idx: pool.submit(_process_shard, payloads[idx])
-                    for idx in pending
-                }
-            except RuntimeError:
-                # The previous round's crash can poison the executor
-                # between rounds; rebuild and resubmit.
-                self._discard_process_pool()
-                pool = self._ensure_process_pool()
-                futures = {
-                    idx: pool.submit(_process_shard, payloads[idx])
-                    for idx in pending
-                }
-            outstanding = set(futures.values())
-            while outstanding:  # reprolint: disable-line=ROB001 -- bounded: every future resolves (normally or BrokenProcessPool) and the set only shrinks
-                done, outstanding = wait(outstanding, timeout=0.05)
-                if budget is not None:
-                    budget.sync_shared()
-            failures: Dict[int, BaseException] = {}
-            pool_broken = False
-            for idx in pending:
-                exc = futures[idx].exception()
-                if exc is None:
-                    results[idx] = futures[idx].result()
-                elif isinstance(exc, QueryError):
-                    # Invalid arguments fail identically on retry.
-                    raise exc
-                else:
-                    failures[idx] = exc
-                    if isinstance(exc, BrokenProcessPool):
-                        pool_broken = True
-            if pool_broken:
-                self._discard_process_pool()
-            if failures and round_index == 1:
-                idx = min(failures)
-                raise EvaluationError(
-                    f"shard {idx} failed twice: {failures[idx]}"
-                ) from failures[idx]
-            for idx in sorted(failures):
-                logger.warning(
-                    "shard %d failed in worker process (%s: %s); retrying "
-                    "once with the same seed stream",
-                    idx,
-                    type(failures[idx]).__name__,
-                    failures[idx],
-                )
-                metrics.inc("shard_retries_total")
-            retried.update(failures)
-            pending = sorted(failures)
-        out: List[Tuple[int, Any]] = []
-        for idx, _size in tasks:
-            value, span_export, counter_rows = results[idx]
-            if parent is not None and span_export is not None:
-                node = parent.adopt(span_export)
-                if idx in retried:
-                    node.set(retried=True)
-            if counter_rows:
-                registry.absorb_counters(counter_rows)
-            out.append((idx, value))
-        return out
 
     # ------------------------------------------------------------------
     # merged estimators
@@ -587,11 +327,7 @@ class ParallelSampler:
         def draw(idx: int, size: int) -> np.ndarray:
             return self._evaluators[idx].sample_scores(size, seed=seed)
 
-        parts = self._map_shards(
-            draw,
-            samples,
-            spec={"method": "sample_scores", "kwargs": {"seed": seed}},
-        )
+        parts = self._map_shards(draw, samples)
         return np.vstack([part for _, part in parts])
 
     def sample_rankings(self, samples: int, seed: int = 0) -> np.ndarray:
@@ -612,14 +348,7 @@ class ParallelSampler:
                 size, max_rank=max_rank, seed=seed
             )
 
-        parts = self._map_shards(
-            count,
-            samples,
-            spec={
-                "method": "rank_count_matrix",
-                "kwargs": {"max_rank": max_rank, "seed": seed},
-            },
-        )
+        parts = self._map_shards(count, samples)
         merged = parts[0][1].copy()
         for _, part in parts[1:]:
             merged += part
@@ -648,15 +377,7 @@ class ParallelSampler:
                 size, max_rank=max_rank, seed=seed, budget=budget
             )
 
-        parts = self._map_shards(
-            count,
-            samples,
-            spec={
-                "method": "rank_counts",
-                "kwargs": {"max_rank": max_rank, "seed": seed},
-            },
-            budget=budget,
-        )
+        parts = self._map_shards(count, samples)
         merged = parts[0][1]
         for _, part in parts[1:]:
             merged = merged.merge(part)
@@ -706,16 +427,7 @@ class ParallelSampler:
             fn = getattr(self._evaluators[idx], method)
             return float(fn(argument, size, seed=seed)) * size
 
-        parts = self._map_shards(
-            run,
-            samples,
-            spec={
-                "method": method,
-                "before": (argument,),
-                "kwargs": {"seed": seed},
-                "scale": True,
-            },
-        )
+        parts = self._map_shards(run, samples)
         total = float(sum(part for _, part in parts))
         return total / samples
 
@@ -772,12 +484,7 @@ class ParallelSampler:
             )
 
         merged: Dict[Tuple[str, ...], int] = {}
-        spec = {
-            "method": "empirical_top_prefix_counts",
-            "before": (k,),
-            "kwargs": {"seed": seed},
-        }
-        for _, part in self._map_shards(count, samples, spec=spec):
+        for _, part in self._map_shards(count, samples):
             for key, value in part.items():
                 merged[key] = merged.get(key, 0) + value
         return {key: value / samples for key, value in merged.items()}
@@ -793,105 +500,8 @@ class ParallelSampler:
             )
 
         merged: Dict[FrozenSet[str], int] = {}
-        spec = {
-            "method": "empirical_top_set_counts",
-            "before": (k,),
-            "kwargs": {"seed": seed},
-        }
-        for _, part in self._map_shards(count, samples, spec=spec):
+        for _, part in self._map_shards(count, samples):
             for key, value in part.items():
                 merged[key] = merged.get(key, 0) + value
         return {key: value / samples for key, value in merged.items()}
 
-
-# ----------------------------------------------------------------------
-# worker-process side
-# ----------------------------------------------------------------------
-
-
-class _WorkerShardContext:
-    """Per-segment state cached inside one worker process.
-
-    Built on a worker's first task for a given segment: the attached
-    (zero-copy) sampling plan, the unpickled records, and the shard
-    child seeds. Per-shard evaluators and attached budget blocks are
-    memoized so repeat tasks ship nothing but a shard index and a spec.
-    Worker processes execute tasks single-threaded, so no locking.
-    """
-
-    __slots__ = ("plan", "records", "child_seeds", "_evaluators", "_budgets")
-
-    def __init__(self, segment_name: str) -> None:
-        plan = SamplingPlan.attach_shared(SharedPlanHandle(segment_name))
-        extra = plan.shared_extra or {}
-        self.plan = plan
-        self.records = extra["records"]
-        self.child_seeds = extra["child_seeds"]
-        self._evaluators: Dict[int, MonteCarloEvaluator] = {}
-        self._budgets: Dict[str, WorkerBudget] = {}
-
-    def evaluator(self, shard: int) -> MonteCarloEvaluator:
-        evaluator = self._evaluators.get(shard)
-        if evaluator is None:
-            evaluator = MonteCarloEvaluator(
-                self.records, seed=self.child_seeds[shard], plan=self.plan
-            )
-            self._evaluators[shard] = evaluator  # reprolint: disable=CON001 -- worker-process-side cache: each pool worker is single-threaded, so its context is never shared
-        return evaluator
-
-    def budget(self, view: WorkerBudgetView) -> WorkerBudget:
-        budget = self._budgets.get(view.name)
-        if budget is None:
-            budget = WorkerBudget(view)
-            self._budgets[view.name] = budget  # reprolint: disable=CON001 -- worker-process-side cache: each pool worker is single-threaded, so its context is never shared
-        return budget
-
-
-_WORKER_CONTEXTS: Dict[str, _WorkerShardContext] = {}
-
-
-def _worker_context(segment_name: str) -> _WorkerShardContext:
-    """This worker's cached context for one exported segment."""
-    context = _WORKER_CONTEXTS.get(segment_name)
-    if context is None:
-        context = _WorkerShardContext(segment_name)
-        _WORKER_CONTEXTS[segment_name] = context  # reprolint: disable=CON001 -- populated only inside single-threaded pool workers, never in the parent
-    return context
-
-
-def _process_shard(
-    payload: Dict[str, Any],
-) -> Tuple[Any, Optional[Dict[str, Any]], list]:
-    """Run one shard's evaluator call inside a worker process.
-
-    Observability marshalling: contextvars do not cross processes, so
-    the shard runs under a worker-local span and a private metrics
-    registry; the exported span tree and counter rows return with the
-    result for the dispatcher to graft/replay parent-side.
-    """
-    context = _worker_context(payload["segment"])
-    shard = payload["shard"]
-    size = payload["size"]
-    spec = payload["spec"]
-    evaluator = context.evaluator(shard)
-    kwargs = dict(spec.get("kwargs") or {})
-    view = payload.get("budget")
-    if view is not None:
-        kwargs["budget"] = context.budget(view)
-    registry = MetricsRegistry()
-    root: Optional[Span] = (
-        Span("shard", shard=shard, samples=size) if payload["trace"] else None
-    )
-    try:
-        with use_registry(registry):
-            with activate(root):
-                value = getattr(evaluator, spec["method"])(
-                    *spec.get("before", ()), size, **kwargs
-                )
-                if spec.get("scale"):
-                    value = float(value) * size
-    finally:
-        if root is not None:
-            root.end()
-    span_export = root.to_dict() if root is not None else None
-    return value, span_export, registry.counter_items()

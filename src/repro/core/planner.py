@@ -128,7 +128,7 @@ class QueryPlan:
         """The schedule-invariant subset safe for result diagnostics.
 
         Restricted to fields that are identical for a fixed spec seed
-        and cache state regardless of worker count, backend, or timing:
+        and cache state regardless of worker count or timing:
         the chosen stage and each stage's decision/reason. Predicted
         and actual seconds ride along under timing-named keys, which
         the determinism sanitizer strips like every other timing.

@@ -87,11 +87,6 @@ class Query:
     trace:
         Per-query tracing override: ``None`` follows the engine's
         ``trace=`` knob; ``True``/``False`` force it for this query.
-    backend:
-        Per-query execution-backend override (``"thread"``,
-        ``"process"``, or ``"auto"``); ``None`` follows the engine's
-        ``backend=`` knob. Results are bit-identical across backends —
-        the knob only changes where the sampling work runs.
     """
 
     kind: str
@@ -105,17 +100,10 @@ class Query:
     budget: Optional["Budget"] = None
     seed: Optional[int] = None
     trace: Optional[bool] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in QUERY_KINDS:
             raise QueryError(f"unknown query kind {self.kind!r}")
-        if self.backend is not None and self.backend not in (
-            "thread",
-            "process",
-            "auto",
-        ):
-            raise QueryError(f"unknown execution backend {self.backend!r}")
         if self.l < 1:
             raise QueryError("l must be positive")
         if self.kind == "utop_rank":

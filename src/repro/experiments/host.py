@@ -1,7 +1,7 @@
 """The uniform host block stamped into every ``BENCH_*.json``.
 
 Benchmark numbers only mean something relative to the machine that
-produced them — the process backend's throughput scales with cores, and
+produced them — sharded sampling's throughput scales with cores, and
 the planner's wall-clock wins depend on per-host kernel rates — so
 every committed report carries the same small provenance block instead
 of each writer inventing its own ad-hoc fields.

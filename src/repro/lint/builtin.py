@@ -384,7 +384,8 @@ class SilentExceptRule(Rule):
 class PublicAnnotationsRule(Rule):
     """Public functions in typed packages carry complete annotations.
 
-    Applies to files whose path contains a ``typed-paths`` fragment
+    Applies to files whose path contains a fragment of the rule's
+    ``[tool.reprolint.paths]`` scope
     (default ``repro/core`` and ``repro/db``). Public module-level
     functions and public methods of module-level classes must annotate
     every parameter (``self``/``cls`` excepted) and the return type, so
@@ -399,11 +400,11 @@ class PublicAnnotationsRule(Rule):
         "function downgrades every downstream call site to Any"
     )
 
+    _DEFAULT_PATHS = ("repro/core", "repro/db")
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not any(
-            fragment in ctx.norm_path()
-            for fragment in ctx.config.typed_paths
-        ):
+        fragments = ctx.config.paths_for(self.code, self._DEFAULT_PATHS)
+        if not any(fragment in ctx.norm_path() for fragment in fragments):
             return
         for fn, is_method in self._public_functions(ctx.tree):
             missing = self._missing(fn, is_method)
@@ -470,7 +471,8 @@ class PublicAnnotationsRule(Rule):
 class ColumnarSamplingRule(Rule):
     """No per-record distribution calls inside loops on sampling hot paths.
 
-    Applies to files whose path contains a ``perf-paths`` fragment
+    Applies to files whose path contains a fragment of the rule's
+    ``[tool.reprolint.paths]`` scope
     (default: the Monte-Carlo and MCMC evaluators). Fires once per
     ``for``/``while`` loop — or per comprehension — whose body calls a
     distribution method (``.cdf()`` / ``.sample()`` / ``.ppf()``): such
@@ -504,11 +506,14 @@ class ColumnarSamplingRule(Rule):
         ast.GeneratorExp,
     )
 
+    _DEFAULT_PATHS = (
+        "repro/core/montecarlo.py",
+        "repro/core/mcmc.py",
+    )
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not any(
-            fragment in ctx.norm_path()
-            for fragment in ctx.config.perf_paths
-        ):
+        fragments = ctx.config.paths_for(self.code, self._DEFAULT_PATHS)
+        if not any(fragment in ctx.norm_path() for fragment in fragments):
             return
         # Manual descent: once a loop is flagged, its nested loops are
         # part of the same offending region and are not re-reported.
@@ -560,7 +565,8 @@ class ColumnarSamplingRule(Rule):
 class UnboundedLoopRule(Rule):
     """``while True`` loops on robustness paths must consult a budget.
 
-    Applies to files whose path contains a ``robust-paths`` fragment
+    Applies to files whose path contains a fragment of the rule's
+    ``[tool.reprolint.paths]`` scope
     (default: ``repro/core``). Fires on every ``while`` loop whose test
     is a constant truth (``while True:``, ``while 1:``) and whose body
     never touches the cooperative-cancellation machinery — an
@@ -602,11 +608,11 @@ class UnboundedLoopRule(Rule):
         }
     )
 
+    _DEFAULT_PATHS = ("repro/core",)
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not any(
-            fragment in ctx.norm_path()
-            for fragment in ctx.config.robust_paths
-        ):
+        fragments = ctx.config.paths_for(self.code, self._DEFAULT_PATHS)
+        if not any(fragment in ctx.norm_path() for fragment in fragments):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.While):
@@ -650,7 +656,8 @@ class UnboundedLoopRule(Rule):
 class CachedArtifactRule(Rule):
     """No cacheable-artifact construction inside loops or query methods.
 
-    Applies to files whose path contains a ``cache-paths`` fragment
+    Applies to files whose path contains a fragment of the rule's
+    ``[tool.reprolint.paths]`` scope
     (default: the query engine and the MCMC simulation). Fires when a
     cacheable compiled artifact — ``SamplingPlan`` /
     ``build_sampling_plan`` / ``compile_plan``, ``PairwiseCache``, or
@@ -701,11 +708,14 @@ class CachedArtifactRule(Rule):
         ast.GeneratorExp,
     )
 
+    _DEFAULT_PATHS = (
+        "repro/core/engine.py",
+        "repro/core/mcmc.py",
+    )
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not any(
-            fragment in ctx.norm_path()
-            for fragment in ctx.config.cache_paths
-        ):
+        fragments = ctx.config.paths_for(self.code, self._DEFAULT_PATHS)
+        if not any(fragment in ctx.norm_path() for fragment in fragments):
             return
         yield from self._visit(ctx, ctx.tree, in_loop=False, in_query=False)
 

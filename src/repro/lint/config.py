@@ -39,26 +39,14 @@ class LintConfig:
         Rule codes disabled entirely.
     exclude:
         Path fragments; files whose path contains one are skipped.
-    typed_paths:
-        Path fragments in which TYP001 requires full public annotations.
     rng_allow:
         Path fragments where DET001 permits unseeded generators (RNG
         plumbing that deliberately draws OS entropy).
-    perf_paths:
-        Path fragments in which PERF001 forbids per-record Python loops
-        over distribution calls (the columnar-sampling hot paths).
-    robust_paths:
-        Path fragments in which ROB001 forbids unbounded ``while True``
-        loops that never consult a Budget/CancellationToken.
-    cache_paths:
-        Path fragments in which CACHE001 forbids constructing cacheable
-        compiled artifacts (sampling plans, pairwise caches, exact
-        evaluators) inside loops or per-query methods.
     path_scopes:
-        Generic per-rule path scopes from ``[tool.reprolint.paths]``
-        (``CODE = ["fragment", ...]``). Takes precedence over the
-        legacy per-rule fields above; rules resolve their scope through
-        :meth:`paths_for` so new rules need no bespoke config field.
+        Per-rule path scopes from ``[tool.reprolint.paths]``
+        (``CODE = ["fragment", ...]``). Rules resolve their scope
+        through :meth:`paths_for`, falling back to their own default,
+        so no rule needs a bespoke config field.
     justify:
         Rule codes whose suppression pragmas must carry a
         ``-- justification`` suffix to take effect (``"all"`` applies
@@ -70,45 +58,20 @@ class LintConfig:
     select: FrozenSet[str] = frozenset()
     ignore: FrozenSet[str] = frozenset()
     exclude: Tuple[str, ...] = ()
-    typed_paths: Tuple[str, ...] = ("repro/core", "repro/db")
     rng_allow: Tuple[str, ...] = ()
-    perf_paths: Tuple[str, ...] = (
-        "repro/core/montecarlo.py",
-        "repro/core/mcmc.py",
-    )
-    robust_paths: Tuple[str, ...] = ("repro/core",)
-    cache_paths: Tuple[str, ...] = (
-        "repro/core/engine.py",
-        "repro/core/mcmc.py",
-    )
     path_scopes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     justify: FrozenSet[str] = frozenset()
     severity: Dict[str, Severity] = field(default_factory=dict)
-
-    #: Pre-existing scope fields, kept as aliases so configs written
-    #: against earlier releases keep working.
-    _LEGACY_SCOPES = {
-        "TYP001": "typed_paths",
-        "PERF001": "perf_paths",
-        "ROB001": "robust_paths",
-        "CACHE001": "cache_paths",
-    }
 
     def paths_for(
         self, code: str, default: Tuple[str, ...] = ()
     ) -> Tuple[str, ...]:
         """Resolve the path scope for ``code``.
 
-        Resolution order: explicit ``[tool.reprolint.paths]`` entry,
-        then the legacy dedicated field (``typed-paths`` & friends),
-        then the rule's own ``default``.
+        An explicit ``[tool.reprolint.paths]`` entry wins; otherwise the
+        rule's own ``default`` applies.
         """
-        if code in self.path_scopes:
-            return self.path_scopes[code]
-        legacy = self._LEGACY_SCOPES.get(code)
-        if legacy is not None:
-            return getattr(self, legacy)
-        return default
+        return self.path_scopes.get(code, default)
 
     def requires_justification(self, code: str) -> bool:
         """Whether suppressing ``code`` demands a written reason."""
@@ -143,11 +106,7 @@ class LintConfig:
                 sorted(self.select),
                 sorted(self.ignore),
                 self.exclude,
-                self.typed_paths,
                 self.rng_allow,
-                self.perf_paths,
-                self.robust_paths,
-                self.cache_paths,
                 sorted(
                     (code, scope) for code, scope in self.path_scopes.items()
                 ),
@@ -222,23 +181,9 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
     exclude = _get(table, "exclude")
     if exclude is not None:
         config = replace(config, exclude=_str_tuple(exclude, "exclude"))
-    typed = _get(table, "typed-paths")
-    if typed is not None:
-        config = replace(config, typed_paths=_str_tuple(typed, "typed-paths"))
     rng_allow = _get(table, "rng-allow")
     if rng_allow is not None:
         config = replace(config, rng_allow=_str_tuple(rng_allow, "rng-allow"))
-    perf = _get(table, "perf-paths")
-    if perf is not None:
-        config = replace(config, perf_paths=_str_tuple(perf, "perf-paths"))
-    robust = _get(table, "robust-paths")
-    if robust is not None:
-        config = replace(
-            config, robust_paths=_str_tuple(robust, "robust-paths")
-        )
-    cache = _get(table, "cache-paths")
-    if cache is not None:
-        config = replace(config, cache_paths=_str_tuple(cache, "cache-paths"))
     paths = _get(table, "paths")
     if paths is not None:
         if not isinstance(paths, Mapping):

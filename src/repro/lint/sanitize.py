@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.lint.sanitize --repeats 3
     python -m repro.lint.sanitize --workers 1,2,4 --jitter 500 --json
-    python -m repro.lint.sanitize --backend thread,process
     python -m repro.lint.sanitize --planner on,off
     python -m repro.lint.sanitize --mutate off,on
 
@@ -23,20 +22,6 @@ from typing import List, Optional, Sequence
 from .sanitizer import DEFAULT_WORKER_GRID, run_sanitizer
 
 __all__ = ["main"]
-
-
-def _parse_backends(raw: str) -> List[str]:
-    grid = [part.strip() for part in raw.split(",") if part.strip()]
-    if not grid:
-        raise argparse.ArgumentTypeError(
-            "backend must contain at least one of thread/process/auto"
-        )
-    for name in grid:
-        if name not in ("thread", "process", "auto"):
-            raise argparse.ArgumentTypeError(
-                f"unknown execution backend {name!r}"
-            )
-    return grid
 
 
 def _parse_planner(raw: str) -> List[str]:
@@ -115,13 +100,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated worker grid (default: 1,2,4)",
     )
     parser.add_argument(
-        "--backend",
-        type=_parse_backends,
-        default=["thread", "process"],
-        help="comma-separated execution-backend grid "
-        "(default: thread,process)",
-    )
-    parser.add_argument(
         "--planner",
         type=_parse_planner,
         default=["on", "off"],
@@ -176,7 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         records=args.records,
         samples=args.samples,
         worker_grid=args.workers,
-        backend_grid=args.backend,
         planner_grid=args.planner,
         mutate_grid=args.mutate,
         jitter_us=args.jitter,

@@ -11,12 +11,8 @@ and cache temperature. It replays a seeded mixed-query workload
   microsecond sleeps at span boundaries — the natural preemption points
   between evaluation stages — which reorders worker interleavings
   without touching any engine code path);
-- across a worker grid (default 1/2/4) so sharded backends and MCMC
+- across a worker grid (default 1/2/4) so sharded sampling and MCMC
   chain pools run both serial and concurrent;
-- across an execution-backend grid (default threads only; the CLI's
-  ``--backend`` flag defaults to ``thread,process``) so the
-  shared-memory process backend is held to the same byte-for-byte
-  contract as the thread pool;
 - twice per engine, so the second pass answers from a warm
   :class:`~repro.core.cache.ComputationCache`;
 - across a planner grid (the CLI's ``--planner`` flag defaults to
@@ -65,7 +61,6 @@ from repro.core.records import UncertainRecord
 from repro.core.trace import set_span_start_hook
 
 __all__ = [
-    "DEFAULT_BACKEND_GRID",
     "DEFAULT_MUTATE_GRID",
     "DEFAULT_PLANNER_GRID",
     "DEFAULT_WORKER_GRID",
@@ -85,11 +80,6 @@ _LCG_INC = 1442695040888963407
 
 #: Worker settings exercised per repeat: serial, small pool, wide pool.
 DEFAULT_WORKER_GRID: Tuple[int, ...] = (1, 2, 4)
-
-#: Execution backends exercised per repeat. The library default keeps
-#: tier-1 runs fast (thread pools only); the sanitizer CLI widens this
-#: to ``thread,process`` so release checks cover the process backend.
-DEFAULT_BACKEND_GRID: Tuple[str, ...] = ("thread",)
 
 #: Planner settings exercised per repeat. The library default keeps
 #: tier-1 runs fast (planning on, the engine default); the sanitizer
@@ -381,7 +371,6 @@ class SanitizerReport:
     repeats: int
     worker_grid: Tuple[int, ...]
     queries: int
-    backend_grid: Tuple[str, ...] = DEFAULT_BACKEND_GRID
     planner_grid: Tuple[str, ...] = DEFAULT_PLANNER_GRID
     mutate_grid: Tuple[str, ...] = DEFAULT_MUTATE_GRID
     runs: int = 0
@@ -402,7 +391,6 @@ class SanitizerReport:
             "ok": self.ok,
             "repeats": self.repeats,
             "worker_grid": list(self.worker_grid),
-            "backend_grid": list(self.backend_grid),
             "planner_grid": list(self.planner_grid),
             "mutate_grid": list(self.mutate_grid),
             "queries": self.queries,
@@ -426,7 +414,6 @@ class SanitizerReport:
             f"determinism sanitizer: {self.runs} run(s), "
             f"{self.comparisons} comparison(s) over {self.queries} "
             f"queries, workers={'/'.join(map(str, self.worker_grid))}, "
-            f"backends={'/'.join(self.backend_grid)}, "
             f"planner={'/'.join(self.planner_grid)}, "
             f"mutate={'/'.join(self.mutate_grid)}, "
             f"repeats={self.repeats}, "
@@ -456,7 +443,6 @@ def _execute(
     queries: Sequence[Query],
     *,
     workers: int,
-    backend: str,
     samples: int,
     mcmc_steps: int,
     mcmc_chains: int,
@@ -479,7 +465,6 @@ def _execute(
             scoring,
             seed=engine_seed,
             workers=workers,
-            backend=backend,
             samples=samples,
             mcmc_chains=mcmc_chains,
             mcmc_steps=mcmc_steps,
@@ -492,7 +477,6 @@ def _execute(
             records,
             seed=engine_seed,
             workers=workers,
-            backend=backend,
             samples=samples,
             mcmc_chains=mcmc_chains,
             mcmc_steps=mcmc_steps,
@@ -521,8 +505,8 @@ def _execute(
                 )
             )
     finally:
-        # Release worker pools and shared-memory segments before the
-        # next grid cell; the matrix builds dozens of engines.
+        # Release worker pools before the next grid cell; the matrix
+        # builds dozens of engines.
         engine.close()
     return passes[0], passes[1]
 
@@ -533,7 +517,6 @@ def run_sanitizer(
     records: int = 12,
     samples: int = 2000,
     worker_grid: Sequence[int] = DEFAULT_WORKER_GRID,
-    backend_grid: Sequence[str] = DEFAULT_BACKEND_GRID,
     planner_grid: Sequence[str] = DEFAULT_PLANNER_GRID,
     mutate_grid: Sequence[str] = DEFAULT_MUTATE_GRID,
     jitter_us: int = 200,
@@ -546,17 +529,14 @@ def run_sanitizer(
 
     ``repeats`` counts perturbed replays *in addition to* the
     unperturbed baseline (repeat 0 runs with no jitter hook). Every
-    (repeat, workers, backend, planner, cache-temperature) cell is
+    (repeat, workers, planner, mutate, cache-temperature) cell is
     compared query-by-query against the baseline cell (repeat 0, first
-    worker setting, first backend, first planner setting, cold cache).
+    worker setting, first planner setting, first mutate setting, cold
+    cache).
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = tuple(int(w) for w in worker_grid) or DEFAULT_WORKER_GRID
-    backends = tuple(backend_grid) or DEFAULT_BACKEND_GRID
-    for name in backends:
-        if name not in ("thread", "process", "auto"):
-            raise ValueError(f"unknown execution backend {name!r}")
     planners = tuple(planner_grid) or DEFAULT_PLANNER_GRID
     for name in planners:
         if name not in ("on", "off"):
@@ -571,7 +551,6 @@ def run_sanitizer(
         repeats=repeats,
         worker_grid=grid,
         queries=len(queries),
-        backend_grid=backends,
         planner_grid=planners,
         mutate_grid=mutates,
     )
@@ -586,37 +565,32 @@ def run_sanitizer(
         previous = set_span_start_hook(jitter)
         try:
             for workers in grid:
-                for backend in backends:
-                    for planner_mode in planners:
-                        for mutate_mode in mutates:
-                            label = (
-                                f"repeat={repeat} workers={workers} "
-                                f"backend={backend} "
-                                f"planner={planner_mode} "
-                                f"mutate={mutate_mode}"
-                            )
-                            cold, warm = _execute(
-                                label,
-                                database,
-                                queries,
-                                workers=workers,
-                                backend=backend,
-                                samples=samples,
-                                mcmc_steps=mcmc_steps,
-                                mcmc_chains=mcmc_chains,
-                                engine_seed=7,
-                                planner=planner_mode == "on",
-                                mutate=mutate_mode == "on",
-                            )
-                            report.runs += 1
-                            if baseline is None:
-                                baseline = cold
-                            for execution in (cold, warm):
-                                if execution is baseline:
-                                    continue
-                                _compare(
-                                    report, baseline, execution, queries
-                                )
+                for planner_mode in planners:
+                    for mutate_mode in mutates:
+                        label = (
+                            f"repeat={repeat} workers={workers} "
+                            f"planner={planner_mode} "
+                            f"mutate={mutate_mode}"
+                        )
+                        cold, warm = _execute(
+                            label,
+                            database,
+                            queries,
+                            workers=workers,
+                            samples=samples,
+                            mcmc_steps=mcmc_steps,
+                            mcmc_chains=mcmc_chains,
+                            engine_seed=7,
+                            planner=planner_mode == "on",
+                            mutate=mutate_mode == "on",
+                        )
+                        report.runs += 1
+                        if baseline is None:
+                            baseline = cold
+                        for execution in (cold, warm):
+                            if execution is baseline:
+                                continue
+                            _compare(report, baseline, execution, queries)
         finally:
             set_span_start_hook(previous)
         if jitter is not None:

@@ -82,7 +82,6 @@ _SPEC_FIELDS = (
     "method",
     "samples",
     "seed",
-    "backend",
 )
 
 
@@ -180,8 +179,8 @@ class RankingService:
         Idempotent. The in-flight wait is bounded by
         ``drain_timeout_seconds``; stragglers are abandoned (their
         budgets are cooperative, so they wind down on their own) and the
-        engine is closed regardless so pools and shared-memory segments
-        never outlive the service.
+        engine is closed regardless so its sampler pools never outlive
+        the service.
         """
         if self._state == "stopped":
             return
@@ -327,7 +326,7 @@ class RankingService:
                 "endpoints": {
                     "POST /query": "run a ranking query "
                     "(kind, i, j, k, l, threshold, method, samples, seed, "
-                    "backend, trace, deadline_ms, max_samples)",
+                    "trace, deadline_ms, max_samples)",
                     "POST /mutate": "apply one batched table edit set "
                     "(append: [row...], update: [{key, column, value}...], "
                     "delete: [key...]) with delta-aware cache migration",

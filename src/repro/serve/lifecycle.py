@@ -4,8 +4,8 @@
 uncertain table. The interesting part is the exit path: SIGTERM (or
 SIGINT) flips a stop event, after which :meth:`RankingService.shutdown`
 stops accepting, waits out in-flight requests (bounded), and closes the
-engine so sampler pools and shared-memory segments are torn down —
-``repro.core.shm.live_segments()`` is empty when the process exits.
+engine so its sampler thread pools are torn down before the process
+exits.
 """
 
 from __future__ import annotations

@@ -231,13 +231,10 @@ async def read_response(
 
     The client-side counterpart of :func:`read_request`, used by the
     test suite and benchmarks. It reads exactly ``Content-Length`` body
-    bytes rather than waiting for EOF: when the engine's process
-    backend forks sampler workers while connections are open, the
-    workers inherit duplicates of the socket and the FIN is delayed
-    until they exit, so an EOF-based client would hang on a complete
-    response. Raises ``ValueError`` on a malformed response and
-    ``TimeoutError`` when the server is slower than ``timeout`` per
-    read.
+    bytes rather than waiting for EOF, so a keep-alive connection never
+    stalls a complete response. Raises ``ValueError`` on a malformed
+    response and ``TimeoutError`` when the server is slower than
+    ``timeout`` per read.
     """
     blob = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
     head = blob.decode("latin-1")

@@ -5,6 +5,11 @@ import pytest
 from repro.core.engine import RankingEngine
 from repro.core.errors import QueryError
 from repro.core.records import certain, uniform
+from repro.lint.sanitizer import (
+    build_records,
+    build_workload,
+    encode_canonical,
+)
 
 
 @pytest.fixture
@@ -95,6 +100,12 @@ class TestUTopSet:
         result = engine.utop_set(3, l=1, method="montecarlo")
         assert result.top.members == frozenset({"t1", "t2", "t5"})
         assert result.top.probability == pytest.approx(0.9375, abs=0.03)
+
+    def test_mcmc_diagnostics_match_prefix_schema(self, engine):
+        prefix = engine.utop_prefix(3, l=1, method="mcmc")
+        top_set = engine.utop_set(3, l=1, method="mcmc")
+        assert set(top_set.diagnostics) == set(prefix.diagnostics)
+        assert top_set.diagnostics["psrf"] is not None
 
 
 class TestRankAggregation:
@@ -275,6 +286,34 @@ class TestWorkersKnob:
             assert answer.probability == pytest.approx(
                 exact_by_id[answer.record_id], abs=0.02
             )
+
+    def test_worker_grid_matches_serial_baseline_cold_and_warm(self):
+        # All five query kinds, cold then warm cache; unlike the
+        # sanitizer this keeps the cache statistics in the comparison.
+        records = build_records(10)
+        queries = build_workload(k=3)
+
+        def run(workers):
+            with RankingEngine(
+                records,
+                seed=7,
+                workers=workers,
+                samples=500,
+                mcmc_chains=2,
+                mcmc_steps=50,
+            ) as engine:
+                out = []
+                for query in queries * 2:
+                    data = engine.query(query).to_dict()
+                    data.pop("elapsed", None)
+                    data.pop("trace", None)
+                    data.get("diagnostics", {}).pop("plan", None)
+                    out.append(encode_canonical(data))
+                return out
+
+        baseline = run(1)
+        for workers in (2, 4):
+            assert run(workers) == baseline, f"workers={workers}"
 
     def test_workers_reported_in_plan(self, paper_db):
         engine = RankingEngine(paper_db, seed=0, workers=2)

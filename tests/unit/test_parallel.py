@@ -7,9 +7,13 @@ from `MonteCarloEvaluator` and covered by its own tests; here we pin
 the sharding, merging, and knob-validation layer.
 """
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
+import repro.core.parallel as parallel_mod
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.parallel import DEFAULT_SHARDS, ParallelSampler, resolve_workers
@@ -45,6 +49,41 @@ class TestResolveWorkers:
     def test_nonpositive_rejected(self):
         with pytest.raises(QueryError, match="positive"):
             resolve_workers(0)
+
+
+class TestResolveWorkersEnvironment:
+    def test_auto_honours_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert resolve_workers("auto") == 3
+
+    def test_explicit_argument_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "5")
+        assert resolve_workers(2) == 2
+
+    def test_env_ignored_when_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert 1 <= resolve_workers("auto") <= 8
+
+    @pytest.mark.parametrize("value", ["zero", "-1", "0"])
+    def test_invalid_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(QueryError, match="REPRO_WORKERS"):
+            resolve_workers("auto")
+
+    def test_oversubscription_warns_once_per_process(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(parallel_mod, "_oversub_warned", False)
+        cpus = os.cpu_count() or 1
+        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+            resolve_workers(cpus + 7)
+            resolve_workers(cpus + 7)
+        warnings = [
+            record
+            for record in caplog.records
+            if "exceeds os.cpu_count" in record.getMessage()
+        ]
+        assert len(warnings) == 1
 
 
 class TestShardSizes:
@@ -135,6 +174,18 @@ class TestAccuracy:
         assert ranked[0][1] == pytest.approx(1.0, abs=0.02)
         probs = [p for _rec, p in ranked]
         assert probs == sorted(probs, reverse=True)
+
+
+class TestLifecycle:
+    def test_close_releases_pool_and_sampler_stays_usable(self, db):
+        sampler = ParallelSampler(db, seed=42, workers=2)
+        before = sampler.rank_count_matrix(500, seed=9)
+        sampler.close()
+        # Closed is not terminal: the pool is lazily re-created.
+        again = sampler.rank_count_matrix(500, seed=9)
+        assert np.array_equal(before, again)
+        sampler.close()
+        sampler.close()  # idempotent
 
 
 class TestFactoryHook:

@@ -19,6 +19,7 @@ from repro.lint import (
     get_rule,
     json_report,
     lint_source,
+    load_config,
     text_report,
 )
 from repro.lint.cli import main as lint_main
@@ -464,7 +465,9 @@ class TestPERF001:
         assert "PERF001" not in codes(result)
 
     def test_perf_paths_configurable(self):
-        config = replace(DEFAULT_CONFIG, perf_paths=("repro/core/exact.py",))
+        config = replace(
+            DEFAULT_CONFIG, path_scopes={"PERF001": ("repro/core/exact.py",)}
+        )
         result = run(
             "def draw(records, rng):\n"
             "    return [r.score.sample(rng) for r in records]\n",
@@ -472,6 +475,23 @@ class TestPERF001:
             config=config,
         )
         assert "PERF001" in codes(result)
+
+    def test_pyproject_paths_table_rescopes_rule(self, tmp_path):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            '[tool.reprolint.paths]\nPERF001 = ["repro/core/exact.py"]\n'
+        )
+        config = load_config(pyproject)
+        snippet = (
+            "def draw(records, rng):\n"
+            "    return [r.score.sample(rng) for r in records]\n"
+        )
+        inside = run(snippet, path="src/repro/core/exact.py", config=config)
+        default = run(
+            snippet, path="src/repro/core/montecarlo.py", config=config
+        )
+        assert "PERF001" in codes(inside)
+        assert "PERF001" not in codes(default)
 
     def test_suppressed_by_line_pragma(self):
         result = run(
@@ -553,7 +573,7 @@ class TestCACHE001:
 
     def test_cache_paths_configurable(self):
         config = replace(
-            DEFAULT_CONFIG, cache_paths=("repro/core/exact.py",)
+            DEFAULT_CONFIG, path_scopes={"CACHE001": ("repro/core/exact.py",)}
         )
         result = run(
             """
@@ -738,7 +758,7 @@ class TestROB001:
 
     def test_robust_paths_configurable(self):
         config = replace(
-            DEFAULT_CONFIG, robust_paths=("repro/experiments",)
+            DEFAULT_CONFIG, path_scopes={"ROB001": ("repro/experiments",)}
         )
         result = run(
             """

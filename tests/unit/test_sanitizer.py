@@ -240,6 +240,12 @@ class TestSanitizerSmoke:
         with pytest.raises(SystemExit):
             sanitize_main(["--mutate", "sometimes"])
 
+    def test_cli_rejects_backend_flag(self, capsys):
+        # Shards and chains run on one thread pool; there is no
+        # execution-backend axis to select.
+        with pytest.raises(SystemExit):
+            sanitize_main(["--backend", "thread"])
+
 
 class TestMutateAxis:
     def test_scenario_restores_canonical_content(self):
