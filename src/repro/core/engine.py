@@ -44,6 +44,8 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -110,16 +112,51 @@ class _StageSkipped(EvaluationError):
 
 
 @dataclass(frozen=True)
-class _LegacyChanges:
-    """``changes_since``-shaped view of a bare table version counter.
+class _TopK:
+    """How one TOP-k family reads the shared k-prefix space.
 
-    Legacy duck-typed tables cannot say *what* changed, only *that*
-    something did: ``deltas`` is ``None`` whenever the counter moved, so
-    the refresh path falls back to wholesale invalidation.
+    UTop-Set(k) is UTop-Prefix(k) with order ignored (§II-B): both are
+    answered by enumerating, sampling, or walking k-prefixes, and differ
+    only in how a prefix's record ids become an answer key.
     """
 
-    version: int
-    deltas: Optional[tuple]
+    #: MCMC target, empirical projection, and cache-artifact suffix.
+    target: str
+    #: Record ids (in rank order) -> answer key.
+    key: Callable[[Iterable[str]], Hashable]
+    #: ``(key, probability)`` -> answer object.
+    answer: Callable[[Any, float], Any]
+    #: :class:`ExactEvaluator` method scoring one key, looked up per call.
+    scorer: str
+    #: Canonical tie-break among equally probable keys.
+    order: Callable[[Any], Any]
+    #: What a budget-starved enumeration reports it never reached.
+    noun: str
+
+
+_TOPK: Dict[str, _TopK] = {
+    "utop_prefix": _TopK(
+        "prefix", tuple, PrefixAnswer, "prefix_probability",
+        lambda key: key, "prefix",
+    ),
+    "utop_set": _TopK(
+        "set", frozenset, SetAnswer, "top_set_probability",
+        sorted, "candidate set",
+    ),
+}
+
+#: kind -> (label for errors, its stages in ladder order). ``auto`` runs
+#: the ladder minus the stages :meth:`RankingEngine._ladder` rules out;
+#: any other method runs its one stage.
+_STAGES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "utop_rank": ("UTop-Rank", ("exact", "montecarlo", "baseline")),
+    "utop_prefix": (
+        "UTop-Prefix", ("exact", "mcmc", "montecarlo", "baseline"),
+    ),
+    "utop_set": ("UTop-Set", ("exact", "mcmc", "montecarlo", "baseline")),
+    "rank_aggregation": ("Rank-Agg", ("exact", "montecarlo")),
+    "rank_distribution": ("rank distributions", ("exact", "montecarlo")),
+}
 
 
 @dataclass
@@ -201,11 +238,11 @@ class RankingEngine:
         Optional default :class:`~repro.core.budget.Budget` applied to
         every query (a per-query ``budget=`` argument overrides it).
         With a budget in force, ``method="auto"`` degrades along the
-        ladder exact → Monte-Carlo → score-median baseline instead of
-        raising, recording a :class:`DegradationEvent` per sacrificed
-        stage on the result; Monte-Carlo stages return best-so-far
-        partial estimates with a Wilson confidence half-width when the
-        budget drains mid-run.
+        ladder exact → (MCMC, for TOP-k) → Monte-Carlo → score-median
+        baseline instead of raising, recording a
+        :class:`DegradationEvent` per sacrificed stage on the result;
+        Monte-Carlo stages return best-so-far partial estimates with a
+        Wilson confidence half-width when the budget drains mid-run.
     cache:
         The computation cache backing this engine (see
         :mod:`repro.core.cache`). ``None`` (default) gives the engine a
@@ -370,10 +407,8 @@ class RankingEngine:
         ----------
         table:
             An :class:`~repro.db.table.UncertainTable` (duck-typed:
-            anything with ``to_records`` and either the
-            ``changes_since`` delta API or a legacy ``version``
-            counter; the legacy path invalidates wholesale instead of
-            migrating).
+            anything with ``to_records`` and the ``changes_since``
+            delta API).
         scoring:
             The scoring spec forwarded to ``to_records``.
         payload_columns:
@@ -391,41 +426,22 @@ class RankingEngine:
         engine._table_payload = (
             list(payload_columns) if payload_columns is not None else None
         )
-        engine._table_version = engine._table_changes(subscribe=True).version
+        engine._table_version = table.changes_since(None).version
         return engine
-
-    def _table_changes(self, subscribe: bool = False) -> Any:
-        """The subscribed table's pending changes (delta API or legacy).
-
-        Returns an object with ``version`` and ``deltas`` — the latter a
-        tuple of :class:`~repro.db.table.TableDelta` (possibly empty),
-        or ``None`` when the table cannot say *what* changed (legacy
-        version counters, or a delta log that no longer reaches back to
-        this engine's subscription point).
-        """
-        table = self._table
-        changes_since = getattr(table, "changes_since", None)
-        if callable(changes_since):
-            return changes_since(None if subscribe else self._table_version)
-        version = table.version  # reprolint: disable=CACHE003 -- legacy duck-typed subscription fallback: tables without the delta API only expose the bare counter, and this engine-side shim is the one sanctioned reader
-        deltas = (
-            () if subscribe or version == self._table_version else None
-        )
-        return _LegacyChanges(version=version, deltas=deltas)
 
     def _refresh_table(self) -> None:
         """Re-extract records if the subscribed table has moved on.
 
         When the table delivers deltas for the gap, cached artifacts
         untouched by them are migrated to the new fingerprint; when it
-        cannot (legacy counter, overflowed delta log), the refresh
-        falls back to wholesale invalidation — recompute, never a
-        wrong answer.
+        cannot (a delta log that no longer reaches back to this
+        engine's subscription point), the refresh falls back to
+        wholesale invalidation — recompute, never a wrong answer.
         """
         if self._table is None:
             return
         with self._refresh_lock:
-            changes = self._table_changes()
+            changes = self._table.changes_since(self._table_version)
             if changes.version == self._table_version:
                 return
             dirty: set = set()
@@ -716,6 +732,64 @@ class RankingEngine:
             )
         return method
 
+    def _ladder(
+        self,
+        kind: str,
+        method: str,
+        subset: Sequence[UncertainRecord],
+        fp: str,
+        depth: Optional[int],
+    ) -> Tuple[str, List[str]]:
+        """``(method, stage names)`` that ``method`` runs for ``kind``.
+
+        The one place the ladder policy lives: the copula guard, the
+        exact rung's admission test (densities plus the record limit,
+        or — for TOP-k — a prefix space within the enumeration limit),
+        and method validation. ``auto`` (after the copula guard) yields
+        the ladder in order; any other method yields its single stage.
+        """
+        method = self._guard_copula(method)
+        label, stages = _STAGES[kind]
+        if method != "auto":
+            if method not in stages:
+                raise QueryError(f"unknown method {method!r} for {label}")
+            return method, [method]
+        exact = supports_exact(subset)
+        if exact and kind in _TOPK:
+            space = self._prefix_space(fp, subset, depth)
+            exact = (
+                space is not None and space <= self.prefix_enumeration_limit
+            )
+        elif exact:
+            exact = len(subset) <= self.exact_record_limit
+        return method, [name for name in stages if exact or name != "exact"]
+
+    def _dispatch(
+        self,
+        kind: str,
+        ctx: _EvalContext,
+        subset: Sequence[UncertainRecord],
+        fp: str,
+        depth: int,
+        requested: int,
+        runners: Dict[str, Callable[[], List]],
+    ) -> List:
+        """Run ``ctx.method``'s stages for ``kind`` (planned when auto)."""
+        _, names = self._ladder(kind, ctx.method, subset, fp, depth)
+        stages = self._apply_plan(
+            ctx,
+            kind,
+            [(name, runners[name]) for name in names],
+            fp,
+            subset,
+            depth,
+            requested,
+        )
+        ctx.used, answers = self._run_stages(
+            stages, ctx.budget, ctx.events, timings=ctx.stage_seconds
+        )
+        return answers
+
     def _effective_budget(self, budget: Optional[Budget]) -> Optional[Budget]:
         """Per-query budget override, falling back to the engine default."""
         return budget if budget is not None else self.budget
@@ -964,8 +1038,8 @@ class RankingEngine:
     #: kind -> bound evaluator method name (one entry per QUERY_KINDS).
     _EVAL: Dict[str, str] = {
         "utop_rank": "_eval_utop_rank",
-        "utop_prefix": "_eval_utop_prefix",
-        "utop_set": "_eval_utop_set",
+        "utop_prefix": "_eval_topk",
+        "utop_set": "_eval_topk",
         "rank_aggregation": "_eval_rank_aggregation",
         "threshold_topk": "_eval_threshold_topk",
     }
@@ -1239,32 +1313,19 @@ class RankingEngine:
                 for rec in ranked[:l]
             ]
 
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if (
-                supports_exact(pruned)
-                and len(pruned) <= self.exact_record_limit
-            ):
-                stages.append(("exact", run_exact))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_rank", stages, fp, pruned, j, requested
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Rank")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
+        return self._dispatch(
+            "utop_rank",
+            ctx,
+            pruned,
+            fp,
+            j,
+            requested,
+            {
+                "exact": run_exact,
+                "montecarlo": run_montecarlo,
+                "baseline": run_baseline,
+            },
         )
-        ctx.used = used
-        return answers
 
     def rank_distribution(
         self,
@@ -1284,19 +1345,13 @@ class RankingEngine:
         self._refresh_table()
         if all(rec.record_id != record_id for rec in self.records):
             raise QueryError(f"record {record_id!r} is not in this database")
-        method = self._guard_copula(method)
-        if method == "auto":
-            use_exact = (
-                supports_exact(self.records)
-                and len(self.records) <= self.exact_record_limit
-            )
-            method = "exact" if use_exact else "montecarlo"
+        _, (method, *_) = self._ladder(
+            "rank_distribution", method, self.records, self._db_fp, None
+        )
         if method == "exact":
             return self._exact(self._db_fp, self.records).rank_probabilities(
                 record_id, max_rank=max_rank
             )
-        if method != "montecarlo":
-            raise QueryError(f"unknown method {method!r}")
         with use_registry(self._metrics):
             sampler = self._sampler(self.records, self._db_fp)
             sc = self._rank_counts(
@@ -1405,69 +1460,49 @@ class RankingEngine:
 
         return self.cache.artifact("prefix-space", (fp, k), build)
 
-    def _enumerable(
-        self, pruned: Sequence[UncertainRecord], fp: str, k: int
-    ) -> bool:
-        if not supports_exact(pruned):
-            return False
-        space = self._prefix_space(fp, pruned, k)
-        return space is not None and space <= self.prefix_enumeration_limit
+    def _enumerate_topk(
+        self,
+        shape: _TopK,
+        fp: str,
+        subset: Sequence[UncertainRecord],
+        k: int,
+        budget: Optional[Budget] = None,
+    ) -> Tuple[List[Tuple[Hashable, float]], Optional[str]]:
+        """Scored answer keys, best-first, plus why enumeration stopped.
 
-    def _exact_prefixes(
-        self, fp: str, subset: Sequence[UncertainRecord], k: int
-    ) -> Tuple[List[Tuple[Tuple[str, ...], float]], bool]:
-        """Scored k-prefixes, best-first, plus an enumeration-cap flag.
-
-        The unbudgeted exact TOP-k computation in one cacheable piece:
-        independent of ``l`` (answers are a slice of the sorted list),
-        so one enumeration serves every follow-up ``l``.
+        One pass over the k-prefixes of ``subset``. Each step checks the
+        cap on distinct keys, then charges ``budget`` (when given) one
+        enumeration state, then scores the prefix's key the first time
+        it is seen. The stop reason is ``None`` (space exhausted),
+        ``"cap"`` (``prefix_enumeration_limit`` distinct keys reached),
+        or the budget's exhausted reason. Independent of ``l`` (answers
+        are a slice of the sorted list), so one unbudgeted enumeration
+        serves every follow-up ``l``.
         """
-        evaluator = self._exact(fp, subset)
+        score = getattr(self._exact(fp, subset), shape.scorer)
         ppo = self._ppo(fp, subset)
-        scored: List[Tuple[Tuple[str, ...], float]] = []
-        clipped = False
-        with span("enumerate", k=k) as enum_span:
+        scored: Dict[Hashable, float] = {}
+        stop: Optional[str] = None
+        attributes: Dict[str, Any] = {"k": k}
+        if budget is not None:
+            attributes["budgeted"] = True
+        with span("enumerate", **attributes) as enum_span:
             for prefix in enumerate_prefixes(ppo, k):
                 if len(scored) >= self.prefix_enumeration_limit:
-                    clipped = True
+                    stop = "cap"
                     break
-                scored.append(
-                    (
-                        tuple(rec.record_id for rec in prefix),
-                        evaluator.prefix_probability(prefix),
-                    )
-                )
-            if enum_span is not None:
-                enum_span.set(enumerated=len(scored), clipped=clipped)
-        scored.sort(key=lambda kv: (-kv[1], kv[0]))
-        return scored, clipped
-
-    def _exact_sets(
-        self, fp: str, subset: Sequence[UncertainRecord], k: int
-    ) -> Tuple[List[Tuple[frozenset, float]], bool]:
-        """Scored top-k sets, best-first, plus an enumeration-cap flag."""
-        evaluator = self._exact(fp, subset)
-        ppo = self._ppo(fp, subset)
-        candidate_sets = set()
-        clipped = False
-        with span("enumerate", k=k) as enum_span:
-            for prefix in enumerate_prefixes(ppo, k):
-                if len(candidate_sets) >= self.prefix_enumeration_limit:
-                    clipped = True
+                if budget is not None and not budget.consume_enumeration():
+                    stop = budget.exhausted_reason() or "enumeration"
                     break
-                candidate_sets.add(
-                    frozenset(rec.record_id for rec in prefix)
-                )
-            if enum_span is not None:
-                enum_span.set(
-                    enumerated=len(candidate_sets), clipped=clipped
-                )
-        scored = [
-            (members, evaluator.top_set_probability(members))
-            for members in candidate_sets
-        ]
-        scored.sort(key=lambda kv: (-kv[1], sorted(kv[0])))
-        return scored, clipped
+                key = shape.key(rec.record_id for rec in prefix)
+                if key not in scored:
+                    scored[key] = score(key)
+            if enum_span is not None and budget is None:
+                enum_span.set(enumerated=len(scored), clipped=stop is not None)
+        ranked = sorted(
+            scored.items(), key=lambda kv: (-kv[1], shape.order(kv[0]))
+        )
+        return ranked, stop
 
     def utop_prefix(
         self,
@@ -1500,9 +1535,32 @@ class RankingEngine:
             )
         )
 
-    def _eval_utop_prefix(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[PrefixAnswer]:
+    def utop_set(
+        self,
+        k: int,
+        l: int = 1,
+        method: str = "auto",
+        budget: Optional[Budget] = None,
+        seed: Optional[int] = None,
+        trace: Optional[bool] = None,
+    ) -> QueryResult:
+        """Evaluate l-UTop-Set(k); methods and ladder as in :meth:`utop_prefix`."""
+        return self.query(
+            Query(
+                kind="utop_set",
+                k=k,
+                l=l,
+                method=method,
+                budget=budget,
+                seed=seed,
+                trace=trace,
+            )
+        )
+
+    def _eval_topk(self, spec: Query, ctx: _EvalContext) -> List:
+        """UTop-Prefix and UTop-Set: one evaluator over k-prefixes."""
+        shape = _TOPK[spec.kind]
+        target = shape.target
         k, l = spec.k, spec.l
         budget = ctx.budget
         with span("prune", level=k):
@@ -1511,71 +1569,42 @@ class RankingEngine:
         k_eff = min(k, len(pruned))
         base_samples = spec.samples or self.samples
 
-        def run_exact() -> List[PrefixAnswer]:
+        def run_exact() -> List:
             if budget is None:
-                scored, clipped = self.cache.artifact(
-                    "exact-prefix",
+                scored, stop = self.cache.artifact(  # reprolint: disable=CACHE002 -- shape is fixed by the artifact kind exact-<target>, and (kind, key) is the cache identity
+                    f"exact-{target}",
                     (fp, k_eff, self.prefix_enumeration_limit),
-                    lambda: self._exact_prefixes(fp, pruned, k_eff),
+                    lambda: self._enumerate_topk(shape, fp, pruned, k_eff),
                 )
-                if clipped:
-                    # Another prefix exists beyond the cap: the answer
-                    # space was clipped, and the best prefix may be
-                    # outside the enumerated region.
-                    ctx.truncated = True
-                    ctx.events.append(
-                        DegradationEvent(
-                            "exact",
-                            "clipped",
-                            f"enumeration cap "
-                            f"{self.prefix_enumeration_limit} reached",
-                        )
+            else:
+                # Budgeted enumeration is driven (and charged) live — a
+                # budget-truncated answer set must never be cached, and
+                # the cache must not silently bypass the enumeration
+                # meter.
+                scored, stop = self._enumerate_topk(
+                    shape, fp, pruned, k_eff, budget
+                )
+            if stop is not None:
+                # Enumeration stopped early: the answer space was
+                # clipped, and the best answer may lie outside it. A
+                # budget stop also makes the answers best-so-far.
+                ctx.truncated = True
+                if stop == "cap":
+                    stop = (
+                        f"enumeration cap "
+                        f"{self.prefix_enumeration_limit} reached"
                     )
-                return [PrefixAnswer(p, prob) for p, prob in scored[:l]]
-            # Budgeted enumeration is driven (and charged) live — a
-            # budget-truncated answer set must never be cached, and the
-            # cache must not silently bypass the enumeration meter.
-            evaluator = self._exact(fp, pruned)
-            ppo = self._ppo(fp, pruned)
-            scored: List[Tuple[Tuple[str, ...], float]] = []
-            with span("enumerate", k=k_eff, budgeted=True):
-                for prefix in enumerate_prefixes(ppo, k_eff):
-                    if len(scored) >= self.prefix_enumeration_limit:
-                        ctx.truncated = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                f"enumeration cap "
-                                f"{self.prefix_enumeration_limit} reached",
-                            )
-                        )
-                        break
-                    if not budget.consume_enumeration():
-                        ctx.truncated = True
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                budget.exhausted_reason() or "enumeration",
-                            )
-                        )
-                        break
-                    scored.append(
-                        (
-                            tuple(rec.record_id for rec in prefix),
-                            evaluator.prefix_probability(prefix),
-                        )
-                    )
-            if not scored:
+                else:
+                    ctx.partial = True
+                ctx.events.append(DegradationEvent("exact", "clipped", stop))
+            if budget is not None and not scored:
                 raise _StageSkipped(
-                    "budget exhausted before any prefix was enumerated"
+                    f"budget exhausted before any {shape.noun} was "
+                    "enumerated"
                 )
-            scored.sort(key=lambda kv: (-kv[1], kv[0]))
-            return [PrefixAnswer(p, prob) for p, prob in scored[:l]]
+            return [shape.answer(key, prob) for key, prob in scored[:l]]
 
-        def run_mcmc() -> List[PrefixAnswer]:
+        def run_mcmc() -> List:
             sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             matrix_samples = max(2000, base_samples // 5)
             rank_matrix: Optional[np.ndarray] = None
@@ -1594,16 +1623,14 @@ class RankingEngine:
                 rank_matrix = sc.counts / sc.done
 
             def simulate():
-                with span(
-                    "walk", chains=self.mcmc_chains, target="prefix"
-                ):
+                with span("walk", chains=self.mcmc_chains, target=target):
                     sim = TopKSimulation(
                         pruned,
                         k_eff,
-                        target="prefix",
+                        target=target,
                         n_chains=self.mcmc_chains,
                         seed=self._mcmc_call_seed(
-                            "prefix", k_eff, l, ctx.mcmc_seed
+                            target, k_eff, l, ctx.mcmc_seed
                         ),
                         workers=self.workers,
                         plan=self._plan_for(fp, pruned),
@@ -1623,7 +1650,7 @@ class RankingEngine:
                     (
                         fp,
                         self._backend_key(ctx.sampler_seed),
-                        "prefix",
+                        target,
                         k_eff,
                         l,
                         matrix_samples,
@@ -1654,11 +1681,11 @@ class RankingEngine:
                 "psrf": result.trace.psrf[-1] if result.trace.psrf else None,
             }
             return [
-                PrefixAnswer(tuple(key), prob)
+                shape.answer(shape.key(key), prob)
                 for key, prob in result.answers
             ]
 
-        def run_montecarlo() -> List[PrefixAnswer]:
+        def run_montecarlo() -> List:
             sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             requested = base_samples
             denom = requested
@@ -1680,301 +1707,46 @@ class RankingEngine:
                             )
                         )
                     denom = grant
-                    freq = sampler.empirical_top_prefixes(
-                        k_eff, denom, seed=0
+                    freq = sampler.empirical_top_frequencies(
+                        k_eff, denom, target=target, seed=0
                     )
                 else:
-                    freq = self.cache.artifact(
-                        "empirical-prefix",
+                    freq = self.cache.artifact(  # reprolint: disable=CACHE002 -- target is folded into the artifact kind empirical-<target>, and (kind, key) is the cache identity
+                        f"empirical-{target}",
                         (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
-                        lambda: sampler.empirical_top_prefixes(
-                            k_eff, denom, seed=0
+                        lambda: sampler.empirical_top_frequencies(
+                            k_eff, denom, target=target, seed=0
                         ),
                     )
             with span("aggregate"):
                 ranked = sorted(
-                    freq.items(), key=lambda kv: (-kv[1], kv[0])
+                    freq.items(), key=lambda kv: (-kv[1], shape.order(kv[0]))
                 )
             if ctx.partial and ranked:
                 ctx.half_width = wilson_half_width(ranked[0][1], denom)
-            return [PrefixAnswer(p, prob) for p, prob in ranked[:l]]
+            return [shape.answer(key, prob) for key, prob in ranked[:l]]
 
-        def run_baseline() -> List[PrefixAnswer]:
+        def run_baseline() -> List:
             order = self._median_ranking(pruned)
-            prefix = tuple(rec.record_id for rec in order[:k_eff])
             # Probability 1.0 under the median-collapsed (deterministic)
             # database — the method label marks the fidelity loss.
-            return [PrefixAnswer(prefix, 1.0)]
+            key = shape.key(rec.record_id for rec in order[:k_eff])
+            return [shape.answer(key, 1.0)]
 
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if self._enumerable(pruned, fp, k_eff):
-                stages.append(("exact", run_exact))
-            stages.append(("mcmc", run_mcmc))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_prefix", stages, fp, pruned, k_eff, base_samples
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "mcmc":
-            stages = [("mcmc", run_mcmc)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Prefix")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
+        return self._dispatch(
+            spec.kind,
+            ctx,
+            pruned,
+            fp,
+            k_eff,
+            base_samples,
+            {
+                "exact": run_exact,
+                "mcmc": run_mcmc,
+                "montecarlo": run_montecarlo,
+                "baseline": run_baseline,
+            },
         )
-        ctx.used = used
-        return answers
-
-    def utop_set(
-        self,
-        k: int,
-        l: int = 1,
-        method: str = "auto",
-        budget: Optional[Budget] = None,
-        seed: Optional[int] = None,
-        trace: Optional[bool] = None,
-    ) -> QueryResult:
-        """Evaluate l-UTop-Set(k); methods and ladder as in :meth:`utop_prefix`."""
-        return self.query(
-            Query(
-                kind="utop_set",
-                k=k,
-                l=l,
-                method=method,
-                budget=budget,
-                seed=seed,
-                trace=trace,
-            )
-        )
-
-    def _eval_utop_set(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[SetAnswer]:
-        k, l = spec.k, spec.l
-        budget = ctx.budget
-        with span("prune", level=k):
-            pruned, fp = self._pruned_entry(k)
-        ctx.pruned_size = len(pruned)
-        k_eff = min(k, len(pruned))
-        base_samples = spec.samples or self.samples
-
-        def run_exact() -> List[SetAnswer]:
-            if budget is None:
-                scored, clipped = self.cache.artifact(
-                    "exact-set",
-                    (fp, k_eff, self.prefix_enumeration_limit),
-                    lambda: self._exact_sets(fp, pruned, k_eff),
-                )
-                if clipped:
-                    ctx.truncated = True
-                    ctx.events.append(
-                        DegradationEvent(
-                            "exact",
-                            "clipped",
-                            f"enumeration cap "
-                            f"{self.prefix_enumeration_limit} reached",
-                        )
-                    )
-                return [SetAnswer(m, prob) for m, prob in scored[:l]]
-            evaluator = self._exact(fp, pruned)
-            ppo = self._ppo(fp, pruned)
-            candidate_sets = set()
-            with span("enumerate", k=k_eff, budgeted=True):
-                for prefix in enumerate_prefixes(ppo, k_eff):
-                    if len(candidate_sets) >= self.prefix_enumeration_limit:
-                        ctx.truncated = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                f"enumeration cap "
-                                f"{self.prefix_enumeration_limit} reached",
-                            )
-                        )
-                        break
-                    if not budget.consume_enumeration():
-                        ctx.truncated = True
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                budget.exhausted_reason() or "enumeration",
-                            )
-                        )
-                        break
-                    candidate_sets.add(
-                        frozenset(rec.record_id for rec in prefix)
-                    )
-            if not candidate_sets:
-                raise _StageSkipped(
-                    "budget exhausted before any candidate set was "
-                    "enumerated"
-                )
-            scored = [
-                (members, evaluator.top_set_probability(members))
-                for members in candidate_sets
-            ]
-            scored.sort(key=lambda kv: (-kv[1], sorted(kv[0])))
-            return [SetAnswer(m, prob) for m, prob in scored[:l]]
-
-        def run_mcmc() -> List[SetAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
-            matrix_samples = max(2000, base_samples // 5)
-            rank_matrix: Optional[np.ndarray] = None
-            with span("sample", requested=matrix_samples) as sample_span:
-                sc = self._rank_counts(
-                    fp,
-                    sampler,
-                    matrix_samples,
-                    max_rank=k_eff,
-                    budget=budget,
-                    sampler_seed=ctx.sampler_seed,
-                )
-                if sample_span is not None:
-                    sample_span.set(done=sc.done)
-            if sc.done > 0:
-                rank_matrix = sc.counts / sc.done
-
-            def simulate():
-                with span("walk", chains=self.mcmc_chains, target="set"):
-                    sim = TopKSimulation(
-                        pruned,
-                        k_eff,
-                        target="set",
-                        n_chains=self.mcmc_chains,
-                        seed=self._mcmc_call_seed(
-                            "set", k_eff, l, ctx.mcmc_seed
-                        ),
-                        workers=self.workers,
-                        plan=self._plan_for(fp, pruned),
-                        pairwise_cache=self._pairwise_cache(),
-                    )
-                    return sim.run(
-                        max_steps=self.mcmc_steps,
-                        psrf_threshold=self.psrf_threshold,
-                        top_l=l,
-                        rank_matrix=rank_matrix,
-                        budget=budget,
-                    )
-
-            if budget is None:
-                result = self.cache.artifact(
-                    "mcmc",
-                    (
-                        fp,
-                        self._backend_key(ctx.sampler_seed),
-                        "set",
-                        k_eff,
-                        l,
-                        matrix_samples,
-                        self.mcmc_chains,
-                        self.mcmc_steps,
-                        self.psrf_threshold,
-                        ctx.mcmc_seed,
-                    ),
-                    simulate,
-                )
-            else:
-                result = simulate()
-            if result.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "mcmc", "clipped", result.stop_reason or "deadline"
-                    )
-                )
-            ctx.error_bound = result.error_estimate
-            ctx.diagnostics = {
-                "converged": result.converged,
-                "total_steps": result.total_steps,
-                "acceptance_rate": result.acceptance_rate,
-                "states_visited": result.states_visited,
-                "psrf": result.trace.psrf[-1] if result.trace.psrf else None,
-            }
-            return [
-                SetAnswer(frozenset(key), prob)
-                for key, prob in result.answers
-            ]
-
-        def run_montecarlo() -> List[SetAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
-            requested = base_samples
-            denom = requested
-            with span("sample", requested=requested):
-                if budget is not None:
-                    grant = budget.take_samples(requested)
-                    if grant == 0:
-                        raise _StageSkipped(
-                            "sample budget exhausted "
-                            f"({budget.exhausted_reason() or 'samples'})"
-                        )
-                    if grant < requested:
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "montecarlo",
-                                "clipped",
-                                f"sample cap granted {grant}/{requested}",
-                            )
-                        )
-                    denom = grant
-                    freq = sampler.empirical_top_sets(k_eff, denom, seed=0)
-                else:
-                    freq = self.cache.artifact(
-                        "empirical-set",
-                        (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
-                        lambda: sampler.empirical_top_sets(
-                            k_eff, denom, seed=0
-                        ),
-                    )
-            with span("aggregate"):
-                ranked = sorted(
-                    freq.items(), key=lambda kv: (-kv[1], sorted(kv[0]))
-                )
-            if ctx.partial and ranked:
-                ctx.half_width = wilson_half_width(ranked[0][1], denom)
-            return [SetAnswer(m, prob) for m, prob in ranked[:l]]
-
-        def run_baseline() -> List[SetAnswer]:
-            order = self._median_ranking(pruned)
-            members = frozenset(rec.record_id for rec in order[:k_eff])
-            return [SetAnswer(members, 1.0)]
-
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if self._enumerable(pruned, fp, k_eff):
-                stages.append(("exact", run_exact))
-            stages.append(("mcmc", run_mcmc))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_set", stages, fp, pruned, k_eff, base_samples
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "mcmc":
-            stages = [("mcmc", run_mcmc)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Set")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
-        )
-        ctx.used = used
-        return answers
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -2038,7 +1810,9 @@ class RankingEngine:
             raise QueryError("k must be positive")
         self._refresh_table()
         pruned, fp = self._pruned_entry(k)
-        k_eff = min(k, len(pruned))
+        # The depth the query itself plans with: UTop-Rank keeps its j,
+        # TOP-k queries clamp k to the pruned size.
+        depth = k if query == "utop_rank" else min(k, len(pruned))
         plan = {
             "query": query,
             "k": k,
@@ -2054,35 +1828,26 @@ class RankingEngine:
                 "metrics": self._metrics.snapshot(),
             },
         }
+        if query != "utop_rank":
+            space = self._prefix_space(fp, pruned, depth)
+            plan["prefix_space"] = space
+            plan["enumeration_limit"] = self.prefix_enumeration_limit
+            plan["truncated"] = (
+                space is None or space > self.prefix_enumeration_limit
+            )
+        method, names = self._ladder(query, "auto", pruned, fp, depth)
+        plan["method"] = names[0]
         if query == "utop_rank":
-            plan["method"] = (
-                "exact"
-                if plan["exact_densities"]
-                and len(pruned) <= self.exact_record_limit
-                else "montecarlo"
-            )
             plan["samples"] = self.samples
-            plan["plan"] = self._explain_plan(
-                query, fp, pruned, k_eff, deadline_ms
-            )
-            return plan
-        space = self._prefix_space(fp, pruned, k_eff)
-        plan["prefix_space"] = space
-        plan["enumeration_limit"] = self.prefix_enumeration_limit
-        plan["truncated"] = (
-            space is None or space > self.prefix_enumeration_limit
-        )
-        enumerable = (
-            plan["exact_densities"]
-            and space is not None
-            and space <= self.prefix_enumeration_limit
-        )
-        plan["method"] = "exact" if enumerable else "mcmc"
-        if plan["method"] == "mcmc":
+        elif names[0] == "mcmc":
             plan["mcmc_chains"] = self.mcmc_chains
             plan["mcmc_steps"] = self.mcmc_steps
-        plan["plan"] = self._explain_plan(
-            query, fp, pruned, k_eff, deadline_ms
+        # Only an auto ladder is planned; the copula maps auto onto a
+        # single forced stage, which the query runs unplanned.
+        plan["plan"] = (
+            self._explain_plan(query, fp, pruned, depth, names, deadline_ms)
+            if method == "auto"
+            else None
         )
         return plan
 
@@ -2092,14 +1857,15 @@ class RankingEngine:
         fp: str,
         pruned: Sequence[UncertainRecord],
         depth: int,
+        names: List[str],
         deadline_ms: Optional[float],
     ) -> Optional[dict]:
         """The ``plan`` block of :meth:`explain` (None: planner off).
 
         Builds the same plan :meth:`query` would for the ``auto``
-        ladder — same features, same fitted model — and pairs each
-        stage's predicted seconds with the observed per-stage actuals
-        the model has accumulated for this fingerprint.
+        ladder ``names`` — same features, same fitted model — and pairs
+        each stage's predicted seconds with the observed per-stage
+        actuals the model has accumulated for this fingerprint.
         """
         if self.planner is None:
             return None
@@ -2109,17 +1875,6 @@ class RankingEngine:
             sampler_seed=self._sampler_seed,
             mcmc_seed=self._mcmc_seed,
         )
-        if kind == "utop_rank":
-            names = ["montecarlo", "baseline"]
-            if (
-                supports_exact(pruned)
-                and len(pruned) <= self.exact_record_limit
-            ):
-                names.insert(0, "exact")
-        else:
-            names = ["mcmc", "montecarlo", "baseline"]
-            if self._enumerable(pruned, fp, depth):
-                names.insert(0, "exact")
         model = self.cache.cost_model(fp)
         features = self._plan_features(
             kind, fp, pruned, depth, self.samples, ctx
@@ -2178,13 +1933,10 @@ class RankingEngine:
         records = self.records
         fp = self._db_fp
         ctx.pruned_size = len(records)
-        method = ctx.method
-        if method == "auto":
-            use_exact = (
-                supports_exact(records)
-                and len(records) <= self.exact_record_limit
-            )
-            method = "exact" if use_exact else "montecarlo"
+        # No fallback here: the ladder's first rung is the method.
+        _, (method, *_) = self._ladder(
+            "rank_aggregation", ctx.method, records, fp, None
+        )
         requested = spec.samples or self.samples
 
         def aggregate() -> Tuple[Tuple[str, ...], float]:
@@ -2220,12 +1972,11 @@ class RankingEngine:
                 )
             return tuple(rec.record_id for rec in ranking), cost
 
-        if method == "exact":
-            key: Tuple = (fp, "exact")
-        elif method == "montecarlo":
-            key = (fp, self._backend_key(ctx.sampler_seed), requested)
-        else:
-            raise QueryError(f"unknown method {method!r} for Rank-Agg")
+        key: Tuple = (
+            (fp, "exact")
+            if method == "exact"
+            else (fp, self._backend_key(ctx.sampler_seed), requested)
+        )
         ranking_ids, cost = self.cache.artifact("rank-agg", key, aggregate)
         ctx.used = method
         return [

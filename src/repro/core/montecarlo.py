@@ -28,7 +28,7 @@ import heapq
 import threading
 from typing import (
     Dict,
-    FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -536,63 +536,49 @@ class MonteCarloEvaluator:
         return clamp_probability(float(ok.mean()))
 
     # ------------------------------------------------------------------
-    # empirical top-k state distributions (used by Fig. 14 and tests)
+    # empirical top-k state distributions (the Monte-Carlo TOP-k rung)
     # ------------------------------------------------------------------
 
-    def empirical_top_prefix_counts(
-        self, k: int, samples: int, seed: Optional[int] = None
-    ) -> Dict[Tuple[str, ...], int]:
-        """Occurrence counts of top-k prefixes among sampled rankings.
+    def empirical_top_counts(
+        self,
+        k: int,
+        samples: int,
+        target: str = "prefix",
+        seed: Optional[int] = None,
+    ) -> Dict[Hashable, int]:
+        """Occurrence counts of top-k prefixes or sets in sampled rankings.
 
-        Distinct prefixes are found with one ``np.unique(axis=0)`` pass
-        over the ``(s, k)`` top block instead of a Python row loop.
+        ``target`` is ``"prefix"`` (ordered tuples of record ids) or
+        ``"set"`` (frozensets: rows are sorted first so order-insensitive
+        keys coincide). Distinct keys are found with one
+        ``np.unique(axis=0)`` pass over the ``(s, k)`` top block instead
+        of a Python row loop.
         """
+        if target not in ("prefix", "set"):
+            raise QueryError(f"unknown empirical target {target!r}")
         if k < 1:
             raise QueryError("k must be positive")
         k = min(k, len(self.records))
-        rankings = self.sample_rankings(samples, seed=seed)
-        rows, counts = np.unique(
-            rankings[:, :k], axis=0, return_counts=True
-        )
+        top = self.sample_rankings(samples, seed=seed)[:, :k]
+        if target == "set":
+            top = np.sort(top, axis=1)
+        rows, counts = np.unique(top, axis=0, return_counts=True)
+        make = tuple if target == "prefix" else frozenset
         ids = [rec.record_id for rec in self.records]
         return {
-            tuple(ids[i] for i in row): int(c)
+            make(ids[i] for i in row): int(c)
             for row, c in zip(rows, counts)
         }
 
-    def empirical_top_prefixes(
-        self, k: int, samples: int, seed: Optional[int] = None
-    ) -> Dict[Tuple[str, ...], float]:
-        """Frequencies of observed top-k prefixes among sampled rankings."""
-        counts = self.empirical_top_prefix_counts(k, samples, seed=seed)
-        return {key: c / samples for key, c in counts.items()}
-
-    def empirical_top_set_counts(
-        self, k: int, samples: int, seed: Optional[int] = None
-    ) -> Dict[FrozenSet[str], int]:
-        """Occurrence counts of top-k sets among sampled rankings.
-
-        Rows are sorted before the ``np.unique(axis=0)`` pass so that
-        order-insensitive membership keys coincide.
-        """
-        if k < 1:
-            raise QueryError("k must be positive")
-        k = min(k, len(self.records))
-        rankings = self.sample_rankings(samples, seed=seed)
-        rows, counts = np.unique(
-            np.sort(rankings[:, :k], axis=1), axis=0, return_counts=True
-        )
-        ids = [rec.record_id for rec in self.records]
-        return {
-            frozenset(ids[i] for i in row): int(c)
-            for row, c in zip(rows, counts)
-        }
-
-    def empirical_top_sets(
-        self, k: int, samples: int, seed: Optional[int] = None
-    ) -> Dict[FrozenSet[str], float]:
-        """Frequencies of observed top-k sets among sampled rankings."""
-        counts = self.empirical_top_set_counts(k, samples, seed=seed)
+    def empirical_top_frequencies(
+        self,
+        k: int,
+        samples: int,
+        target: str = "prefix",
+        seed: Optional[int] = None,
+    ) -> Dict[Hashable, float]:
+        """Frequencies of observed top-k prefixes or sets (see counts)."""
+        counts = self.empirical_top_counts(k, samples, target, seed=seed)
         return {key: c / samples for key, c in counts.items()}
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -473,35 +473,18 @@ class ParallelSampler:
     # empirical state distributions
     # ------------------------------------------------------------------
 
-    def empirical_top_prefixes(
-        self, k: int, samples: int, seed: int = 0
-    ) -> Dict[Tuple[str, ...], float]:
-        """Merged frequencies of observed top-k prefixes."""
+    def empirical_top_frequencies(
+        self, k: int, samples: int, target: str = "prefix", seed: int = 0
+    ) -> Dict[Hashable, float]:
+        """Merged frequencies of observed top-k prefixes or sets."""
 
-        def count(idx: int, size: int) -> Dict[Tuple[str, ...], int]:
-            return self._evaluators[idx].empirical_top_prefix_counts(
-                k, size, seed=seed
+        def count(idx: int, size: int) -> Dict[Hashable, int]:
+            return self._evaluators[idx].empirical_top_counts(
+                k, size, target, seed=seed
             )
 
-        merged: Dict[Tuple[str, ...], int] = {}
+        merged: Dict[Hashable, int] = {}
         for _, part in self._map_shards(count, samples):
             for key, value in part.items():
                 merged[key] = merged.get(key, 0) + value
         return {key: value / samples for key, value in merged.items()}
-
-    def empirical_top_sets(
-        self, k: int, samples: int, seed: int = 0
-    ) -> Dict[FrozenSet[str], float]:
-        """Merged frequencies of observed top-k sets."""
-
-        def count(idx: int, size: int) -> Dict[FrozenSet[str], int]:
-            return self._evaluators[idx].empirical_top_set_counts(
-                k, size, seed=seed
-            )
-
-        merged: Dict[FrozenSet[str], int] = {}
-        for _, part in self._map_shards(count, samples):
-            for key, value in part.items():
-                merged[key] = merged.get(key, 0) + value
-        return {key: value / samples for key, value in merged.items()}
-

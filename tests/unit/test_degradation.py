@@ -18,7 +18,7 @@ from repro.core.chaos import FaultInjector, FaultyOracle
 from repro.core.engine import RankingEngine
 from repro.core.errors import ConvergenceError, EvaluationError
 from repro.core.mcmc import TopKSimulation
-from repro.core.queries import DegradationEvent
+from repro.core.queries import DegradationEvent, Query
 
 
 @pytest.fixture
@@ -161,13 +161,46 @@ class TestPrefixAndSetLadder:
             for e in result.degradation
         )
 
-    def test_prefix_budget_clips_enumeration(self, db):
+    @pytest.mark.parametrize("kind", ["utop_prefix", "utop_set"])
+    def test_prefix_budget_clips_enumeration(self, db, kind):
         budget = Budget(max_enumeration=1)
         engine = RankingEngine(db, seed=7)
-        result = engine.utop_prefix(3, l=1, method="exact", budget=budget)
+        result = engine.query(
+            Query(kind=kind, k=3, l=1, method="exact", budget=budget)
+        )
         assert result.truncated
         assert result.partial
         assert len(result.answers) == 1
+        assert ("exact", "clipped") in [
+            (e.stage, e.action) for e in result.degradation
+        ]
+
+    @pytest.mark.parametrize("kind", ["utop_prefix", "utop_set"])
+    def test_montecarlo_sample_cap(self, db, kind):
+        engine = RankingEngine(db, seed=7, samples=400, workers=1)
+        clipped = engine.query(
+            Query(
+                kind=kind, k=3, l=1, method="montecarlo",
+                budget=Budget(max_samples=200),
+            )
+        )
+        assert clipped.method == "montecarlo"
+        assert clipped.partial
+        assert clipped.confidence_half_width is not None
+        assert ("montecarlo", "clipped") in [
+            (e.stage, e.action) for e in clipped.degradation
+        ]
+        # Every sampling stage failing or starved, auto falls through
+        # the Monte-Carlo rung (skipped: no samples) to the baseline.
+        wrapped, _ = faulty_records(db, every=1)
+        starved = RankingEngine(wrapped, seed=7, samples=400, workers=1)
+        result = starved.query(
+            Query(kind=kind, k=3, l=1, budget=Budget(max_samples=0))
+        )
+        assert result.method == "baseline"
+        stages = [(e.stage, e.action) for e in result.degradation]
+        assert ("montecarlo", "skipped") in stages
+        assert ("baseline", "fallback") in stages
 
     def test_set_enumeration_cap_marks_truncated(self, db):
         engine = RankingEngine(db, seed=7, prefix_enumeration_limit=1)

@@ -185,17 +185,17 @@ class TestExtensionProbability:
 
 class TestEmpiricalStateDistributions:
     def test_prefix_frequencies_sum_to_one(self, sampler):
-        freq = sampler.empirical_top_prefixes(3, 5000)
+        freq = sampler.empirical_top_frequencies(3, 5000)
         assert sum(freq.values()) == pytest.approx(1.0)
 
     def test_prefix_frequencies_match_exact(self, sampler, exact):
-        freq = sampler.empirical_top_prefixes(3, SAMPLES)
+        freq = sampler.empirical_top_frequencies(3, SAMPLES)
         best = max(freq, key=freq.get)
         assert best == ("t5", "t1", "t2")
         assert freq[best] == pytest.approx(0.4375, abs=TOL)
 
     def test_set_frequencies_match_exact(self, sampler):
-        freq = sampler.empirical_top_sets(3, SAMPLES)
+        freq = sampler.empirical_top_frequencies(3, SAMPLES, target="set")
         best = max(freq, key=freq.get)
         assert best == frozenset({"t1", "t2", "t5"})
         assert freq[best] == pytest.approx(0.9375, abs=TOL)
@@ -203,7 +203,7 @@ class TestEmpiricalStateDistributions:
     def test_deterministic_tie_handling(self):
         records = [certain("a", 5.0), certain("b", 5.0), uniform("u", 0, 1)]
         sampler = MonteCarloEvaluator(records, rng=np.random.default_rng(0))
-        freq = sampler.empirical_top_prefixes(2, 1000)
+        freq = sampler.empirical_top_frequencies(2, 1000)
         # Tie-break puts 'a' above 'b' in every sample.
         assert freq == {("a", "b"): 1.0}
 

@@ -137,9 +137,15 @@ class TestWorkerCountInvariance:
         assert values[0] == values[1] == values[2]
 
     def test_empirical_distributions(self, db):
-        tables = [s.empirical_top_prefixes(2, 2_000, seed=1) for s in samplers(db)]
+        tables = [
+            s.empirical_top_frequencies(2, 2_000, seed=1)
+            for s in samplers(db)
+        ]
         assert tables[0] == tables[1] == tables[2]
-        sets = [s.empirical_top_sets(2, 2_000, seed=1) for s in samplers(db)]
+        sets = [
+            s.empirical_top_frequencies(2, 2_000, target="set", seed=1)
+            for s in samplers(db)
+        ]
         assert sets[0] == sets[1] == sets[2]
 
     def test_per_call_seed_isolation(self, db):

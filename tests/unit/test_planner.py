@@ -22,11 +22,14 @@ after a table mutation.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.budget import Budget
 from repro.core.cache import SAMPLE_BLOCK, ComputationCache
+from repro.core.correlation import GaussianCopula
 from repro.core.costmodel import (
     DEFAULT_UNIT_COSTS,
     CostModel,
@@ -37,8 +40,10 @@ from repro.core.costmodel import (
     summarize_stages,
 )
 from repro.core.engine import RankingEngine
+from repro.core.errors import QueryError
 from repro.core.metrics import MetricsRegistry
 from repro.core.planner import QueryPlanner
+from repro.core.queries import Query
 from repro.core.records import uniform
 from repro.db.attributes import IntervalValue
 from repro.db.scoring import AttributeScore
@@ -488,6 +493,61 @@ class TestEngineIntegration:
             s["stage"]: s["observed"] for s in plan["stages"]
         }["montecarlo"]
         assert observed is not None and observed["count"] >= 1
+
+
+    @pytest.mark.parametrize(
+        "kind, depth",
+        [
+            ("utop_rank", 3),
+            ("utop_rank", 10),
+            ("utop_prefix", 3),
+            ("utop_prefix", 10),
+            ("utop_set", 3),
+            ("utop_set", 10),
+        ],
+    )
+    def test_explain_plans_the_query_it_explains(self, kind, depth):
+        # explain() must predict exactly what a fresh engine's first
+        # auto query plans — including j (or k) beyond the pruned size.
+        db = overlapping_db(6)
+        explained = RankingEngine(db, seed=3, samples=1_000).explain(
+            kind, depth
+        )["plan"]
+        spec = (
+            Query(kind=kind, i=1, j=depth)
+            if kind == "utop_rank"
+            else Query(kind=kind, k=depth)
+        )
+        ran = RankingEngine(db, seed=3, samples=1_000).query(spec)
+        planned = ran.diagnostics["plan"]
+        assert explained["chosen"] == planned["chosen"] == ran.method
+        assert [
+            (s["stage"], s["predicted_seconds"])
+            for s in explained["stages"]
+        ] == [
+            (s["stage"], s["predicted_seconds"])
+            for s in planned["stages"]
+        ]
+
+    @pytest.mark.parametrize("kind", ["utop_rank", "utop_prefix", "utop_set"])
+    def test_explain_under_copula_reports_the_sampled_method(self, kind):
+        engine = RankingEngine(
+            overlapping_db(6), seed=3, samples=1_000,
+            copula=GaussianCopula(np.eye(6)),
+        )
+        explained = engine.explain(kind, 2)
+        assert explained["method"] == "montecarlo"
+        assert explained["plan"] is None
+        spec = (
+            Query(kind=kind, i=1, j=2)
+            if kind == "utop_rank"
+            else Query(kind=kind, k=2)
+        )
+        result = engine.query(spec)
+        assert result.method == "montecarlo"
+        assert "plan" not in result.diagnostics
+        with pytest.raises(QueryError):
+            engine.query(replace(spec, method="exact"))
 
 
 class TestCoverageProbes:

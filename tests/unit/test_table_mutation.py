@@ -197,20 +197,6 @@ class TestDeltaReplay:
         json.dumps(payload)  # wire-safe
 
 
-class TestDeprecatedShims:
-    def test_single_edit_shims_warn_and_delegate(self):
-        table = make_table()
-        v0 = table.version
-        with pytest.warns(DeprecationWarning, match="add_row"):
-            table.add_row({"id": "d", "rent": 42.0})
-        with pytest.warns(DeprecationWarning, match="update_cell"):
-            table.update_cell("d", "rent", 43.0)
-        with pytest.warns(DeprecationWarning, match="remove_row"):
-            table.remove_row("d")
-        assert table.version == v0 + 3
-        assert len(table.changes_since(v0).deltas) == 3
-
-
 class TestEngineInterleaving:
     SCORING = AttributeScore("rent", domain=(0.0, 2000.0))
 
