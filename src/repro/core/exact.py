@@ -244,6 +244,10 @@ class ExactEvaluator:
             raise QueryError("record set contains duplicates")
         if not members:
             return 1.0
+        # Iterate members in database order, not in the caller's: a
+        # frozenset's order follows the hash salt, and the products and
+        # the sum below must not.
+        members = [r for r in self.records if r.record_id in ids]
         rest = [r for r in self.records if r.record_id not in ids]
         outside = PiecewisePolynomial.constant(1.0)
         for other in rest:

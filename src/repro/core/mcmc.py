@@ -760,7 +760,12 @@ class TopKSimulation:
         visit_frequencies = {
             key: count / total_visits for key, count in visit_totals.items()
         } if total_visits else {}
-        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], str(kv[0])))
+        # Break ties by the engine's canonical key order (ids in rank
+        # order for prefixes, sorted ids for sets), never by ``str`` of
+        # a frozenset, whose order follows the hash salt: ``top_l``
+        # truncates before the engine re-sorts.
+        order = (lambda key: key) if self.target == "prefix" else sorted
+        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], order(kv[0])))
         bound = None
         if rank_matrix is not None:
             bound = (

@@ -580,24 +580,3 @@ class MonteCarloEvaluator:
         """Frequencies of observed top-k prefixes or sets (see counts)."""
         counts = self.empirical_top_counts(k, samples, target, seed=seed)
         return {key: c / samples for key, c in counts.items()}
-
-    # ------------------------------------------------------------------
-    # reference implementations (benchmarks and equivalence tests)
-    # ------------------------------------------------------------------
-
-    def _sample_scores_serial(
-        self, rng: np.random.Generator, samples: int
-    ) -> np.ndarray:
-        """Pre-columnar per-record sampling loop.
-
-        Kept (private) as the baseline the columnar plan is benchmarked
-        and distribution-tested against; not used by any estimator.
-        """
-        n = len(self.records)
-        out = np.empty((samples, n))
-        for i, rec in enumerate(self.records):  # reprolint: disable=PERF001 -- serial reference path retained for the columnar speedup benchmark
-            if rec.is_deterministic:
-                out[:, i] = self._tie_values.get(rec.record_id, rec.lower)
-            else:
-                out[:, i] = rec.score.sample(rng, samples)
-        return out

@@ -39,16 +39,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.engine import RankingEngine
 from ..core.metrics import MetricsRegistry
-from ..core.records import UncertainRecord
-from .host import BENCH_SCHEMA, host_block
-from .query_cache_bench import benchmark_records
+from ..core.records import UncertainRecord, uniform
 
 __all__ = [
     "REPORT_PATH",
@@ -58,13 +60,35 @@ __all__ = [
     "main",
 ]
 
-#: The committed report, at the repository root next to the other BENCH files.
+#: The committed report, at the repository root.
 REPORT_PATH = (
     Path(__file__).resolve().parents[3] / "BENCH_trace_overhead.json"
 )
 
 #: The Figure 11 ``k`` sweep, truncated to benchmark-friendly sizes.
 K_VALUES = (5, 10, 20, 50)
+
+
+def benchmark_records(
+    n: int, seed: int = 20090107
+) -> List[UncertainRecord]:
+    """``n`` heavily overlapping uniform-interval records.
+
+    Interval centers are spread over [0, 100] with widths up to ~8, so
+    the top region overlaps enough that k-dominance pruning keeps a
+    non-trivial candidate set and every sampled path does real work.
+    """
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 100.0, size=n)
+    widths = rng.uniform(0.5, 8.0, size=n)
+    return [
+        uniform(
+            f"r{i:05d}",
+            float(centers[i] - widths[i]),
+            float(centers[i] + widths[i]),
+        )
+        for i in range(n)
+    ]
 
 
 def _count_spans(node: Dict[str, object]) -> int:
@@ -163,9 +187,14 @@ def run_benchmark(
             }
         )
     return {
-        "schema": BENCH_SCHEMA,
+        "schema": 2,
         "unit": "seconds",
-        "host": host_block(),
+        "host": {
+            "cpu_count": os.cpu_count() or 1,
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
         "size": int(size),
         "samples": int(samples),
         "repeats": int(repeats),

@@ -1,7 +1,13 @@
 """Unit tests for the RankingEngine facade."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.engine import RankingEngine
 from repro.core.errors import QueryError
 from repro.core.records import certain, uniform
@@ -252,6 +258,36 @@ class TestReproducibility:
         assert [
             (x.record_id, x.probability) for x in a.answers
         ] == [(x.record_id, x.probability) for x in b.answers]
+
+    def test_utop_set_independent_of_hash_seed(self):
+        # Frozenset iteration follows PYTHONHASHSEED; neither the exact
+        # set probabilities nor MCMC's tie-break may. The three
+        # identical u-records tie {t5, u_a, u_b} across the l=3 cut,
+        # and a salted summation order moves the exact last ulp.
+        script = (
+            "from repro.core.engine import RankingEngine\n"
+            "from repro.core.records import uniform\n"
+            "db = [uniform(f't{i}', 0.5 * i, 0.5 * i + 3.0 + 0.37 * (i % 4))"
+            " for i in range(6)]\n"
+            "db += [uniform(f'u{i}', 5.0, 6.0) for i in range(3)]\n"
+            "for method in ('exact', 'mcmc'):\n"
+            "    result = RankingEngine(db, seed=0).utop_set("
+            "3, l=3, method=method)\n"
+            "    for a in result.answers:\n"
+            "        print(method, sorted(a.members), a.probability.hex())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].count("\n") == 6
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestWorkersKnob:

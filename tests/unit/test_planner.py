@@ -414,6 +414,15 @@ class TestEngineIntegration:
         )
         assert mc["decision"] == "chosen"
         assert mc["actual_seconds"] is not None
+        # Without the planner the same deadline burns on the doomed
+        # exact DP (seconds unbudgeted), so the reactive ladder answers
+        # from a lower rung: planning never lowers an answer's rung.
+        reactive = RankingEngine(
+            overlapping_db(16), seed=3, samples=2_000, planner=False
+        ).utop_rank(1, 8, l=2, budget=Budget.for_deadline(0.2))
+        assert reactive.method == "baseline" or (
+            reactive.method == "montecarlo" and reactive.partial
+        )
 
     def test_covered_block_served_at_reduced_count(self):
         engine = RankingEngine(
