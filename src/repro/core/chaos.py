@@ -365,19 +365,7 @@ class FaultInjector:
             )
         return out
 
-    def wrap_oracle(
-        self, oracle: Callable[..., float], schedule: FaultSchedule
-    ) -> FaultyOracle:
-        """Wrap an MCMC state-probability oracle with scheduled faults."""
-        self.log.append(("oracle", "raise"))
-        return FaultyOracle(oracle, schedule)
 
-    def wrap_factory(
-        self, factory: Callable[..., object], schedule: FaultSchedule
-    ) -> Callable[..., object]:
-        """Wrap a ``ParallelSampler`` factory with scheduled shard crashes."""
-        self.log.append(("factory", "raise"))
-        return crashing_factory(factory, schedule)
 # ----------------------------------------------------------------------
 # service-level fault injectors (for the serving-layer soak tests)
 # ----------------------------------------------------------------------

@@ -154,7 +154,7 @@ _STAGES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         "UTop-Prefix", ("exact", "mcmc", "montecarlo", "baseline"),
     ),
     "utop_set": ("UTop-Set", ("exact", "mcmc", "montecarlo", "baseline")),
-    "rank_aggregation": ("Rank-Agg", ("exact", "montecarlo")),
+    "rank_aggregation": ("Rank-Agg", ("exact", "montecarlo", "baseline")),
     "rank_distribution": ("rank distributions", ("exact", "montecarlo")),
 }
 
@@ -565,9 +565,6 @@ class RankingEngine:
 
         return self.cache.artifact("prune", (self._db_fp, level), build)
 
-    def _pruned(self, level: int) -> List[UncertainRecord]:
-        return self._pruned_entry(level)[0]
-
     def _plan_for(self, fp: str, subset: Sequence[UncertainRecord]):
         """The compiled sampling plan for ``subset``, by fingerprint."""
 
@@ -959,16 +956,15 @@ class RankingEngine:
         n = len(pruned)
         covered = 0
         prefix_space: Optional[int] = None
-        if kind == "utop_rank":
-            limit = max(1, min(depth, n))
+        if kind in _TOPK:
+            prefix_space = self._prefix_space(fp, pruned, depth)
+        else:
             covered = self.cache.rank_count_coverage(
                 fp,
                 self._backend_key(ctx.sampler_seed),
                 requested,
-                limit,
+                max(1, min(depth, n)),
             )
-        else:
-            prefix_space = self._prefix_space(fp, pruned, depth)
         return PlanFeatures(
             kind=kind,
             n=n,
@@ -978,8 +974,8 @@ class RankingEngine:
             overlap_density=self._overlap_density(fp, pruned),
             exact_supported=supports_exact(pruned),
             prefix_space=prefix_space,
-            mcmc_chains=self.mcmc_chains if kind != "utop_rank" else 0,
-            mcmc_steps=self.mcmc_steps if kind != "utop_rank" else 0,
+            mcmc_chains=self.mcmc_chains if kind in _TOPK else 0,
+            mcmc_steps=self.mcmc_steps if kind in _TOPK else 0,
         )
 
     def _apply_plan(
@@ -1037,11 +1033,11 @@ class RankingEngine:
 
     #: kind -> bound evaluator method name (one entry per QUERY_KINDS).
     _EVAL: Dict[str, str] = {
-        "utop_rank": "_eval_utop_rank",
+        "utop_rank": "_eval_top_rank",
         "utop_prefix": "_eval_topk",
         "utop_set": "_eval_topk",
         "rank_aggregation": "_eval_rank_aggregation",
-        "threshold_topk": "_eval_threshold_topk",
+        "threshold_topk": "_eval_top_rank",
     }
 
     def query(self, spec: Query) -> QueryResult:
@@ -1207,35 +1203,41 @@ class RankingEngine:
             )
         )
 
-    def _eval_utop_rank(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[RecordAnswer]:
-        i, j, l = spec.i, spec.j, spec.l
-        budget = ctx.budget
-        with span("prune", level=j):
-            pruned, fp = self._pruned_entry(j)
-        ctx.pruned_size = len(pruned)
-        requested = spec.samples or self.samples
+    def _eta(
+        self,
+        kind: str,
+        ctx: _EvalContext,
+        subset: Sequence[UncertainRecord],
+        fp: str,
+        depth: int,
+        requested: int,
+        project: Callable[[np.ndarray, Optional[int]], List],
+    ) -> List:
+        """Build ``eta[t, r] = Pr(rank(t) = r + 1)`` on the ladder; project it.
 
-        def run_exact() -> List[RecordAnswer]:
-            evaluator = self._exact(fp, pruned)
-            with span("dp", records=len(pruned), max_rank=j):
+        The one stage behind every RECORD-RANK-style answer (Eq. 7):
+        each rung builds the ``(len(subset), depth)`` matrix its own way
+        — the exact DP, the rank-count store, or the median-collapsed
+        database's permutation matrix — and returns
+        ``project(matrix, samples)``. ``samples`` is the draw count
+        behind a sampled matrix, ``None`` for the exact one, and ``0``
+        for the baseline's. A clipped Monte-Carlo rung flags
+        ``ctx.partial`` before it projects, so the projection can
+        attach a confidence half-width.
+        """
+        budget = ctx.budget
+
+        def run_exact() -> List:
+            evaluator = self._exact(fp, subset)
+            with span("dp", records=len(subset), max_rank=depth):
                 matrix = evaluator.rank_probability_matrix(
-                    max_rank=j, budget=budget
+                    max_rank=depth, budget=budget
                 )
             with span("aggregate"):
-                probs = matrix[:, i - 1 : j].sum(axis=1)
-                order = sorted(
-                    range(len(pruned)),
-                    key=lambda t: (-probs[t], pruned[t].record_id),
-                )
-                return [
-                    RecordAnswer(pruned[t].record_id, float(probs[t]))
-                    for t in order[:l]
-                ]
+                return project(matrix, None)
 
-        def run_montecarlo() -> List[RecordAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
+        def run_montecarlo() -> List:
+            sampler = self._sampler(subset, fp, ctx.sampler_seed)
             # A budgeted plan may serve straight from a covered
             # rank-count block at its (smaller) sample count instead of
             # drawing a fresh top-up; the result is flagged partial
@@ -1256,7 +1258,7 @@ class RankingEngine:
                     fp,
                     sampler,
                     effective,
-                    max_rank=j,
+                    max_rank=depth,
                     budget=budget,
                     sampler_seed=ctx.sampler_seed,
                 )
@@ -1267,65 +1269,73 @@ class RankingEngine:
                     "sample budget exhausted "
                     f"({sc.reason or 'samples'})"
                 )
-            with span("aggregate"):
-                matrix = sc.counts / sc.done
-                pairs = select_top_rank_candidates(pruned, matrix, i, j, l)
+            clipped: Optional[str] = None
             if sc.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "montecarlo",
-                        "clipped",
-                        sc.reason
-                        or f"sample cap granted {sc.done}/{effective}",
-                    )
+                clipped = (
+                    sc.reason or f"sample cap granted {sc.done}/{effective}"
                 )
-                if pairs:
-                    ctx.half_width = wilson_half_width(pairs[0][1], sc.done)
             elif effective < requested:
+                clipped = (
+                    f"planner served covered block {sc.done}/{requested}"
+                )
+            if clipped is not None:
                 ctx.partial = True
                 ctx.events.append(
-                    DegradationEvent(
-                        "montecarlo",
-                        "clipped",
-                        "planner served covered block "
-                        f"{sc.done}/{requested}",
-                    )
+                    DegradationEvent("montecarlo", "clipped", clipped)
                 )
-                if pairs:
-                    ctx.half_width = wilson_half_width(pairs[0][1], sc.done)
-            return [
-                RecordAnswer(rec.record_id, prob) for rec, prob in pairs
-            ]
+            with span("aggregate"):
+                return project(sc.counts / sc.done, sc.done)
 
-        def run_baseline() -> List[RecordAnswer]:
-            order = self._median_ranking(pruned)
-            probs = {
-                rec.record_id: 1.0 if i <= rank <= j else 0.0
-                for rank, rec in enumerate(order, start=1)
+        def run_baseline() -> List:
+            # Under the median collapse every record holds its median's
+            # rank with certainty: eta is a (truncated) permutation.
+            position = {
+                rec.record_id: rank
+                for rank, rec in enumerate(self._median_ranking(subset))
             }
-            ranked = sorted(
-                pruned,
-                key=lambda rec: (-probs[rec.record_id], rec.record_id),
-            )
+            matrix = np.zeros((len(subset), min(depth, len(subset))))
+            for t, rec in enumerate(subset):
+                if position[rec.record_id] < matrix.shape[1]:
+                    matrix[t, position[rec.record_id]] = 1.0
+            return project(matrix, 0)
+
+        runners = {
+            "exact": run_exact,
+            "montecarlo": run_montecarlo,
+            "baseline": run_baseline,
+        }
+        return self._dispatch(kind, ctx, subset, fp, depth, requested, runners)
+
+    def _eval_top_rank(
+        self, spec: Query, ctx: _EvalContext
+    ) -> List[RecordAnswer]:
+        """UTop-Rank(i, j) and PT-k: a column-window sum over eta.
+
+        PT-k is UTop-Rank(1, k) over every pruned record, cut at the
+        threshold instead of at ``l``; both plan and fit costs as
+        ``utop_rank``.
+        """
+        if spec.kind == "threshold_topk":
+            i, j, threshold = 1, spec.k, spec.threshold
+        else:
+            i, j, threshold = spec.i, spec.j, None
+        with span("prune", level=j):
+            pruned, fp = self._pruned_entry(j)
+        ctx.pruned_size = len(pruned)
+        l = spec.l if threshold is None else len(pruned)
+        requested = spec.samples or self.samples
+
+        def project(matrix: np.ndarray, samples: Optional[int]) -> List:
+            pairs = select_top_rank_candidates(pruned, matrix, i, j, l)
+            if ctx.partial and pairs:
+                ctx.half_width = wilson_half_width(pairs[0][1], samples)
             return [
-                RecordAnswer(rec.record_id, probs[rec.record_id])
-                for rec in ranked[:l]
+                RecordAnswer(rec.record_id, prob)
+                for rec, prob in pairs
+                if threshold is None or prob >= threshold
             ]
 
-        return self._dispatch(
-            "utop_rank",
-            ctx,
-            pruned,
-            fp,
-            j,
-            requested,
-            {
-                "exact": run_exact,
-                "montecarlo": run_montecarlo,
-                "baseline": run_baseline,
-            },
-        )
+        return self._eta("utop_rank", ctx, pruned, fp, j, requested, project)
 
     def rank_distribution(
         self,
@@ -1342,6 +1352,10 @@ class RankingEngine:
         densities allow it and the database is small; Monte-Carlo
         otherwise.
         """
+        if max_rank is not None and max_rank < 1:
+            raise QueryError("max_rank must be positive")
+        if samples is not None and samples < 1:
+            raise QueryError("samples must be positive")
         self._refresh_table()
         if all(rec.record_id != record_id for rec in self.records):
             raise QueryError(f"record {record_id!r} is not in this database")
@@ -1418,24 +1432,6 @@ class RankingEngine:
                 trace=trace,
             )
         )
-
-    def _eval_threshold_topk(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[RecordAnswer]:
-        inner = Query(
-            kind="utop_rank",
-            i=1,
-            j=spec.k,
-            l=len(self.records),
-            method=spec.method,
-            samples=spec.samples,
-        )
-        answers = self._eval_utop_rank(inner, ctx)
-        return [
-            answer
-            for answer in answers
-            if answer.probability >= spec.threshold
-        ]
 
     # ------------------------------------------------------------------
     # TOP-k queries (Defs. 5 and 6)
@@ -1914,8 +1910,10 @@ class RankingEngine:
         """Evaluate Rank-Agg under the footrule distance (Theorem 2).
 
         Never pruned: the consensus ranking needs every rank's
-        probabilities. ``method``: ``"auto"``, ``"exact"``, or
-        ``"montecarlo"`` (selects how the ``eta`` matrix is obtained).
+        probabilities. ``method``: ``"auto"``, ``"exact"``,
+        ``"montecarlo"``, or ``"baseline"`` (selects how the ``eta``
+        matrix is obtained). The baseline consensus is the median
+        ranking, at expected distance 0.0 under the collapsed database.
         """
         return self.query(
             Query(
@@ -1930,55 +1928,39 @@ class RankingEngine:
     def _eval_rank_aggregation(
         self, spec: Query, ctx: _EvalContext
     ) -> List[RankAggAnswer]:
-        records = self.records
-        fp = self._db_fp
-        ctx.pruned_size = len(records)
-        # No fallback here: the ladder's first rung is the method.
-        _, (method, *_) = self._ladder(
-            "rank_aggregation", ctx.method, records, fp, None
-        )
+        records, fp = self.records, self._db_fp
+        n = ctx.pruned_size = len(records)
         requested = spec.samples or self.samples
 
-        def aggregate() -> Tuple[Tuple[str, ...], float]:
-            if method == "exact":
-                # The exact evaluator shares the per-database pairwise
-                # memo through its probability_greater entry point; the
-                # eta matrix itself is memoized inside the evaluator.
-                with span("dp", records=len(records)):
-                    matrix = self._exact(
-                        fp, records
-                    ).rank_probability_matrix()
-                tolerance = 1e-9
-            else:
-                sampler = self._sampler(records, fp, ctx.sampler_seed)
-                with span("sample", requested=requested) as sample_span:
-                    sc = self._rank_counts(
-                        fp,
-                        sampler,
-                        requested,
-                        sampler_seed=ctx.sampler_seed,
-                    )
-                    if sample_span is not None:
-                        sample_span.set(done=sc.done)
-                matrix = sc.counts / sc.done
+        def project(matrix: np.ndarray, samples: Optional[int]) -> List:
+            def solve() -> Tuple[Tuple[str, ...], float]:
                 # Sampling noise perturbs footrule costs by roughly
                 # n / sqrt(samples); ties inside that band canonicalize
                 # to the expected-rank order so the Monte-Carlo
                 # consensus agrees with the exact one on tied optima.
-                tolerance = len(records) / math.sqrt(max(sc.done, 1))
-            with span("aggregate"):
+                tolerance = n / math.sqrt(samples) if samples else 1e-9
                 ranking, cost = optimal_rank_aggregation(
                     matrix, records, tie_tolerance=tolerance
                 )
-            return tuple(rec.record_id for rec in ranking), cost
+                return tuple(rec.record_id for rec in ranking), cost
 
-        key: Tuple = (
-            (fp, "exact")
-            if method == "exact"
-            else (fp, self._backend_key(ctx.sampler_seed), requested)
+            # Only a complete answer is cached: a partial or baseline
+            # one reflects this query's budget, not the database.
+            if ctx.partial or samples == 0:
+                ranking_ids, cost = solve()
+            else:
+                key: Tuple = (
+                    (fp, "exact")
+                    if samples is None
+                    else (fp, self._backend_key(ctx.sampler_seed), requested)
+                )
+                ranking_ids, cost = self.cache.artifact(  # reprolint: disable=CACHE002 -- a complete eta is a function of the key: the exact matrix of fp, or `requested` draws of this sampling stream
+                    "rank-agg", key, solve
+                )
+            return [
+                RankAggAnswer(ranking=ranking_ids, expected_distance=cost)
+            ]
+
+        return self._eta(
+            "rank_aggregation", ctx, records, fp, n, requested, project
         )
-        ranking_ids, cost = self.cache.artifact("rank-agg", key, aggregate)
-        ctx.used = method
-        return [
-            RankAggAnswer(ranking=ranking_ids, expected_distance=cost)
-        ]

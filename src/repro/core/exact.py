@@ -51,7 +51,10 @@ def _tie_perturbations(records: Sequence[UncertainRecord]) -> Dict[str, float]:
     infinitesimal ladder ordered by the tie-breaker (smaller record id
     ranks higher, hence receives the larger perturbed value). The ladder
     width is far below the smallest distinct gap in the data, so no other
-    ordering relationship can flip.
+    ordering relationship can flip. When that gap is below the float
+    resolution at the tied value (e.g. bounds ``0`` and ``1e-105`` next to
+    a tie at ``1.0``), the ladder steps by one ulp instead, so the
+    perturbed values stay distinct.
     """
     groups: Dict[float, List[UncertainRecord]] = {}
     for rec in records:
@@ -68,6 +71,8 @@ def _tie_perturbations(records: Sequence[UncertainRecord]) -> Dict[str, float]:
     out: Dict[str, float] = {}
     for value, group in ties.items():
         step = scale * 1e-7 / len(group)
+        if value + step == value:
+            step = float(np.spacing(abs(value)))
         ordered = sorted(group, key=lambda r: r.record_id)  # tau order
         for pos, rec in enumerate(ordered):
             out[rec.record_id] = value + step * (len(group) - 1 - pos)

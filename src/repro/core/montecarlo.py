@@ -84,8 +84,9 @@ def select_top_rank_candidates(
 
     Keeps an l-sized answer heap (``heapq.nsmallest`` over the
     ``(-probability, record_id)`` key), mirroring the §VI-C complexity
-    analysis: selection is ``O(n log l)``, not a full sort. Shared by
-    the serial and parallel samplers.
+    analysis: selection is ``O(n log l)``, not a full sort. Every
+    UTop-Rank and PT-k answer is selected here, whichever ladder rung
+    built the matrix.
     """
     if l < 1:
         raise QueryError("l must be positive")
@@ -286,22 +287,8 @@ class MonteCarloEvaluator:
         each chunk's hits land in the count matrix with one ``np.add.at``
         scatter over ``(record, rank)`` pairs.
         """
-        counts = self.rank_count_matrix(samples, max_rank=max_rank, seed=seed)
-        return counts / samples
-
-    def rank_count_matrix(
-        self,
-        samples: int,
-        max_rank: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> np.ndarray:
-        """Raw ``(n, max_rank)`` occurrence counts behind Eq. 7.
-
-        Exposed separately so sharded execution
-        (:class:`~repro.core.parallel.ParallelSampler`) can merge
-        partial counts exactly before normalizing.
-        """
-        return self.rank_counts(samples, max_rank=max_rank, seed=seed).counts
+        counts = self.rank_counts(samples, max_rank=max_rank, seed=seed)
+        return counts.counts / samples
 
     def rank_counts(
         self,
@@ -374,23 +361,6 @@ class MonteCarloEvaluator:
         better = (scores > target[:, None]).sum(axis=1)
         hits = (better >= i - 1) & (better <= j - 1)
         return clamp_probability(float(hits.mean()))
-
-    def top_rank_candidates(
-        self,
-        i: int,
-        j: int,
-        l: int,
-        samples: int,
-        seed: Optional[int] = None,
-    ) -> List[Tuple[UncertainRecord, float]]:
-        """The ``l`` most probable records to appear at a rank in ``[i, j]``.
-
-        Shares one sample batch across all records and keeps an l-sized
-        answer heap (:func:`select_top_rank_candidates`), mirroring the
-        complexity analysis in §VI-C.
-        """
-        matrix = self.rank_probability_matrix(samples, max_rank=j, seed=seed)
-        return select_top_rank_candidates(self.records, matrix, i, j, l)
 
     # ------------------------------------------------------------------
     # prefix / set / extension probabilities

@@ -18,7 +18,7 @@ per unordered pair.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 from scipy import integrate
 
@@ -180,14 +180,3 @@ class PairwiseCache:
         self._store.clear()  # reprolint: disable=CON001 -- invalidation API: clear() is called by the owning engine between queries, never while worker threads are live
         self.hits = 0
         self.misses = 0
-
-
-def maybe_cached(
-    a: UncertainRecord,
-    b: UncertainRecord,
-    cache: Optional[PairwiseCache] = None,
-) -> float:
-    """``Pr(a > b)`` through ``cache`` when one is supplied."""
-    if cache is None:
-        return probability_greater(a, b)
-    return cache.probability(a, b)

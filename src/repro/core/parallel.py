@@ -15,7 +15,10 @@ results in shard order. Consequences:
   computes.
 - Shard evaluators are plain :class:`~repro.core.montecarlo.
   MonteCarloEvaluator` instances (or copula-aware subclasses via the
-  ``factory`` hook), so every estimator stays available.
+  ``factory`` hook). The sampler merges only what its callers use:
+  score draws and rankings (the Fig. 12 samplers), rank counts (the
+  rank-count store behind UTop-Rank, PT-k and Rank-Agg), and top-k
+  frequencies (the Monte-Carlo TOP-k rung).
 
 Shards run on a lazily created, reusable
 :class:`~concurrent.futures.ThreadPoolExecutor`. The columnar kernels
@@ -35,7 +38,6 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -50,9 +52,8 @@ from . import metrics
 from .budget import Budget, SampleCounts
 from .errors import EvaluationError, QueryError
 from .metrics import active_registry, use_registry
-from .montecarlo import MonteCarloEvaluator, select_top_rank_candidates
+from .montecarlo import MonteCarloEvaluator
 from .trace import current_span, span_under
-from .numeric import clamp_probability
 from .records import UncertainRecord
 
 __all__ = [
@@ -147,7 +148,7 @@ class ParallelSampler:
     ----------
     records:
         The database (after any pruning); used by the default factory
-        and for answer formatting.
+        and, through its length, by the rank-count store.
     seed:
         Root seed. Shard ``i`` receives the ``i``-th child of
         ``SeedSequence(seed)``, so shard streams are independent and
@@ -335,25 +336,6 @@ class ParallelSampler:
         scores = self.sample_scores(samples, seed=seed)
         return np.argsort(-scores, axis=1, kind="stable")
 
-    def rank_count_matrix(
-        self,
-        samples: int,
-        max_rank: Optional[int] = None,
-        seed: int = 0,
-    ) -> np.ndarray:
-        """Merged ``(n, max_rank)`` rank-occurrence counts (Eq. 7)."""
-
-        def count(idx: int, size: int) -> np.ndarray:
-            return self._evaluators[idx].rank_count_matrix(
-                size, max_rank=max_rank, seed=seed
-            )
-
-        parts = self._map_shards(count, samples)
-        merged = parts[0][1].copy()
-        for _, part in parts[1:]:
-            merged += part
-        return merged
-
     def rank_counts(
         self,
         samples: int,
@@ -382,92 +364,6 @@ class ParallelSampler:
         for _, part in parts[1:]:
             merged = merged.merge(part)
         return merged
-
-    def rank_probability_matrix(
-        self,
-        samples: int,
-        max_rank: Optional[int] = None,
-        seed: int = 0,
-    ) -> np.ndarray:
-        """Merged ``eta_r(t)`` estimate across all shards."""
-        counts = self.rank_count_matrix(samples, max_rank=max_rank, seed=seed)
-        return counts / samples
-
-    def top_rank_candidates(
-        self,
-        i: int,
-        j: int,
-        l: int,
-        samples: int,
-        seed: int = 0,
-    ) -> List[Tuple[UncertainRecord, float]]:
-        """The ``l`` most probable records for ranks ``[i, j]``, merged."""
-        matrix = self.rank_probability_matrix(samples, max_rank=j, seed=seed)
-        return select_top_rank_candidates(self.records, matrix, i, j, l)
-
-    def estimate(
-        self,
-        method: str,
-        argument: object,
-        samples: int,
-        seed: int = 0,
-    ) -> float:
-        """Sample-weighted merge of any mean-based scalar estimator.
-
-        ``method`` names a :class:`MonteCarloEvaluator` estimator taking
-        ``(argument, samples, seed=...)`` — e.g.
-        ``"prefix_probability_sis"`` or ``"top_set_probability_cdf"``.
-        Each shard computes its own mean over its share of the budget;
-        weighting by shard size recovers exactly the pooled mean, so the
-        merged value is the same unbiased estimate a single evaluator
-        would produce over one combined stream.
-        """
-
-        def run(idx: int, size: int) -> float:
-            fn = getattr(self._evaluators[idx], method)
-            return float(fn(argument, size, seed=seed)) * size
-
-        parts = self._map_shards(run, samples)
-        total = float(sum(part for _, part in parts))
-        return total / samples
-
-    def prefix_probability(
-        self, prefix: Sequence, samples: int, seed: int = 0
-    ) -> float:
-        """Merged Eq. 6 indicator estimate."""
-        return clamp_probability(
-            self.estimate("prefix_probability", prefix, samples, seed=seed)
-        )
-
-    def prefix_probability_sis(
-        self, prefix: Sequence, samples: int, seed: int = 0
-    ) -> float:
-        """Merged sequential-importance-sampling estimate of Eq. 6."""
-        return clamp_probability(
-            self.estimate(
-                "prefix_probability_sis", prefix, samples, seed=seed
-            )
-        )
-
-    def top_set_probability(
-        self, record_set: Iterable, samples: int, seed: int = 0
-    ) -> float:
-        """Merged top-k set indicator estimate."""
-        return clamp_probability(
-            self.estimate(
-                "top_set_probability", record_set, samples, seed=seed
-            )
-        )
-
-    def top_set_probability_cdf(
-        self, record_set: Iterable, samples: int, seed: int = 0
-    ) -> float:
-        """Merged CDF-product top-k set estimate."""
-        return clamp_probability(
-            self.estimate(
-                "top_set_probability_cdf", record_set, samples, seed=seed
-            )
-        )
 
     # ------------------------------------------------------------------
     # empirical state distributions

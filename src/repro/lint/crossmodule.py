@@ -66,17 +66,6 @@ def _attr_root(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _name_tokens(expr: ast.AST) -> Set[str]:
-    """Every identifier mentioned in ``expr`` (names and attributes)."""
-    tokens: Set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name):
-            tokens.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            tokens.add(node.attr)
-    return tokens
-
-
 def _local_deps(expr: ast.AST) -> Set[str]:
     """Local-variable dependency set of ``expr``: plain names, at
     root-name granularity (``ctx.mcmc_seed`` contributes ``ctx``;

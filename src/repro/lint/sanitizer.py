@@ -225,6 +225,7 @@ def build_workload(k: int = 3) -> List[Query]:
         Query(kind="utop_set", k=k, l=2, method="montecarlo", seed=14),
         Query(kind="utop_set", k=k, l=2, method="mcmc", seed=17),
         Query(kind="rank_aggregation", method="montecarlo", seed=15),
+        Query(kind="rank_aggregation", method="auto", seed=18),
         Query(
             kind="threshold_topk",
             k=k,

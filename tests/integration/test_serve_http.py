@@ -214,6 +214,40 @@ class TestServeSmoke:
 
         asyncio.run(scenario())
 
+    def test_open_breaker_pins_every_kind_to_baseline(self):
+        async def scenario():
+            engine = make_engine(samples=300)
+            service = RankingService(
+                engine,
+                ServiceConfig(
+                    breaker_threshold=1, breaker_cooldown_seconds=600.0
+                ),
+            )
+            port = await service.start(port=0)
+            try:
+                # One recorded deadline miss opens the table's breaker.
+                service._breaker_for(engine.database_fingerprint).record(
+                    deadline_missed=True
+                )
+                for spec in [
+                    {"kind": "utop_rank", "i": 1, "j": 3},
+                    {"kind": "utop_prefix", "k": 2},
+                    {"kind": "utop_set", "k": 2},
+                    {"kind": "rank_aggregation"},
+                    {"kind": "threshold_topk", "k": 2, "threshold": 0.1},
+                ]:
+                    status, _, payload = await http_request(
+                        port, "POST", "/query", body=spec
+                    )
+                    assert status == 200, (spec, payload)
+                    assert payload["result"]["method"] == "baseline"
+                    assert payload["result"]["answers"], spec
+                    assert payload["serve"]["breaker"] == "open"
+            finally:
+                await service.shutdown()
+
+        asyncio.run(scenario())
+
 
 def trace_main_from(response_payload, capsys):
     """Feed a /query response to the trace CLI exactly like a pipe."""

@@ -220,11 +220,11 @@ class TestEvaluatorBudget:
     def test_unbudgeted_rank_counts_match_matrix(self, small_db):
         evaluator = MonteCarloEvaluator(small_db, seed=11)
         counts = evaluator.rank_counts(200, seed=3)
-        matrix = evaluator.rank_count_matrix(200, seed=3)
+        matrix = evaluator.rank_probability_matrix(200, seed=3)
         assert counts.done == 200
         assert counts.requested == 200
         assert not counts.partial
-        np.testing.assert_array_equal(counts.counts, matrix)
+        np.testing.assert_array_equal(counts.counts / 200, matrix)
 
     def test_expired_budget_returns_empty_partial(self, small_db):
         clock = FakeClock()
@@ -245,10 +245,13 @@ class TestEvaluatorBudget:
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_parallel_rank_counts_match_legacy_matrix(self, small_db):
+        # A budget that never binds leaves the merged counts identical
+        # to the unbudgeted (legacy) path's.
         sampler = ParallelSampler(small_db, seed=5, workers=2)
-        counts = sampler.rank_counts(500, seed=2)
-        matrix = sampler.rank_count_matrix(500, seed=2)
-        np.testing.assert_array_equal(counts.counts, matrix)
+        budgeted = sampler.rank_counts(500, seed=2, budget=Budget())
+        plain = sampler.rank_counts(500, seed=2)
+        assert budgeted.done == plain.done == 500
+        np.testing.assert_array_equal(budgeted.counts, plain.counts)
 
 
 class TestExactBudget:

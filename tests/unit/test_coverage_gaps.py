@@ -62,6 +62,17 @@ class TestEngineRankDistribution:
         with pytest.raises(QueryError):
             engine.rank_distribution("t1", method="bogus")
 
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_rank": 0}, {"max_rank": -1}, {"max_rank": -2}, {"samples": 0}],
+        ids=["max_rank=0", "max_rank=-1", "max_rank=-2", "samples=0"],
+    )
+    def test_nonpositive_arguments_rejected(self, paper_db, method, kwargs):
+        engine = RankingEngine(paper_db, seed=0)
+        with pytest.raises(QueryError, match="must be positive"):
+            engine.rank_distribution("t5", method=method, **kwargs)
+
 
 class TestTreePaths:
     def test_paths_enumerate_all_leaves(self, paper_db):

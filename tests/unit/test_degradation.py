@@ -101,6 +101,64 @@ class TestLadderUTopRank:
         assert {a.record_id for a in result.answers} == {"t1", "t5"}
 
 
+class TestLadderRankAggregation:
+    def test_sample_cap_clips_montecarlo(self, db):
+        budget = Budget(max_samples=200)
+        engine = RankingEngine(
+            db, seed=7, samples=400, exact_record_limit=0, workers=1
+        )
+        result = engine.query(Query(kind="rank_aggregation", budget=budget))
+        assert result.method == "montecarlo"
+        assert result.partial
+        assert ("montecarlo", "clipped") in [
+            (e.stage, e.action) for e in result.degradation
+        ]
+        assert budget.samples_used == 200
+        # The clipped consensus is not cached: an unbudgeted repeat
+        # answers from the full sample count, like a fresh engine.
+        full = engine.rank_aggregation()
+        assert not full.partial
+        fresh = RankingEngine(
+            db, seed=7, samples=400, exact_record_limit=0, workers=1
+        )
+        assert full.answers == fresh.rank_aggregation().answers
+
+    def test_expired_deadline_falls_back_to_baseline(self, db):
+        engine = RankingEngine(db, seed=7, samples=400, workers=1)
+        result = engine.query(
+            Query(kind="rank_aggregation", budget=Budget(deadline=0.0))
+        )
+        assert result.method == "baseline"
+        stages = [(e.stage, e.action) for e in result.degradation]
+        assert ("exact", "skipped") in stages
+        assert ("montecarlo", "skipped") in stages
+        assert ("baseline", "fallback") in stages
+        # The median ranking, at distance 0 from the collapsed database.
+        (answer,) = result.answers
+        assert answer.ranking == ("t5", "t1", "t2", "t3", "t4", "t6")
+        assert answer.expected_distance == 0.0
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    def test_unbudgeted_repeat_solves_footrule_once(
+        self, db, method, monkeypatch
+    ):
+        import repro.core.engine as engine_mod
+
+        calls = []
+        solve = engine_mod.optimal_rank_aggregation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "optimal_rank_aggregation", counting)
+        engine = RankingEngine(db, seed=7, samples=400, workers=1)
+        first = engine.rank_aggregation(method=method)
+        second = engine.rank_aggregation(method=method)
+        assert second.answers == first.answers
+        assert len(calls) == 1
+
+
 @pytest.mark.chaos
 class TestFaultAcceptance:
     def run_faulted(self, db, workers, **schedule_kwargs):

@@ -240,6 +240,22 @@ class TestDeterministicTies:
         )
         assert total == pytest.approx(1.0, abs=1e-4)
 
+    def test_tie_survives_gap_below_float_resolution(self):
+        # The smallest gap (1e-105) is far below the ulp at 1.0, so a
+        # ladder scaled from it would round back onto the tie.
+        records = [
+            certain("r0", 1e-105),
+            certain("r1", 0.0),
+            certain("r2", 1.0),
+            certain("r3", 1.0),
+        ]
+        matrix = ExactEvaluator(records).rank_probability_matrix()
+        expected = np.array(
+            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+            dtype=float,
+        )
+        assert np.array_equal(matrix, expected)
+
 
 class TestPairwiseConsistency:
     def test_matches_pairwise_module(self):

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
-from repro.core.montecarlo import MonteCarloEvaluator
+from repro.core.montecarlo import (
+    MonteCarloEvaluator,
+    select_top_rank_candidates,
+)
 from repro.core.records import certain, uniform
 
 SAMPLES = 60_000
@@ -66,16 +69,18 @@ class TestRankProbabilities:
         with pytest.raises(QueryError):
             sampler.rank_range_probability("t1", 2, 1, 100)
 
-    def test_top_rank_candidates_order(self, sampler):
-        answers = sampler.top_rank_candidates(1, 2, 3, SAMPLES)
+    def test_top_rank_candidates_order(self, sampler, paper_db):
+        matrix = sampler.rank_probability_matrix(SAMPLES, max_rank=2)
+        answers = select_top_rank_candidates(paper_db, matrix, 1, 2, 3)
         assert answers[0][0].record_id == "t5"
         assert answers[0][1] == pytest.approx(1.0, abs=TOL)
         probs = [p for _r, p in answers]
         assert probs == sorted(probs, reverse=True)
 
-    def test_top_rank_requires_positive_l(self, sampler):
+    def test_top_rank_requires_positive_l(self, sampler, paper_db):
+        matrix = sampler.rank_probability_matrix(100, max_rank=2)
         with pytest.raises(QueryError):
-            sampler.top_rank_candidates(1, 2, 0, 100)
+            select_top_rank_candidates(paper_db, matrix, 1, 2, 0)
 
 
 class TestPrefixEstimators:

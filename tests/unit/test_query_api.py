@@ -183,6 +183,12 @@ class TestSpanAccounting:
         ("exact", lambda e: e.utop_rank(1, 4, method="exact")),
         ("montecarlo", lambda e: e.utop_rank(1, 4, method="montecarlo")),
         ("mcmc", lambda e: e.utop_prefix(3, method="mcmc")),
+        ("pt-k", lambda e: e.threshold_topk(3, 0.2, method="exact")),
+        ("rank-agg-exact", lambda e: e.rank_aggregation(method="exact")),
+        (
+            "rank-agg-montecarlo",
+            lambda e: e.rank_aggregation(method="montecarlo"),
+        ),
     ]
 
     @pytest.mark.parametrize(
