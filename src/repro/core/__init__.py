@@ -48,7 +48,7 @@ from .chaos import (
     FaultSchedule,
     FaultyDistribution,
     FaultyOracle,
-    crashing_factory,
+    crashing_evaluator,
 )
 from .correlation import CorrelatedMonteCarloEvaluator, GaussianCopula
 from .diagnostics import ConvergenceTrace, gelman_rubin
@@ -69,7 +69,7 @@ from .metrics import (
 )
 from .montecarlo import MonteCarloEvaluator, compile_plan
 from .naive import expected_score_ranking, mode_aggregation_ranking
-from .parallel import DEFAULT_SHARDS, ParallelSampler, resolve_workers
+from .parallel import resolve_workers
 from .pairwise import PairwiseCache, probability_greater
 from .queries import (
     DegradationEvent,
@@ -129,8 +129,6 @@ __all__ = [
     "MetropolisHastingsChain",
     "MetricsRegistry",
     "MonteCarloEvaluator",
-    "DEFAULT_SHARDS",
-    "ParallelSampler",
     "SampleCounts",
     "SamplingPlan",
     "build_sampling_plan",
@@ -181,7 +179,7 @@ __all__ = [
     "certain",
     "comparability_ratio",
     "compile_plan",
-    "crashing_factory",
+    "crashing_evaluator",
     "dominates",
     "probability_greater",
     "shrink_database",

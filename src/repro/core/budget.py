@@ -94,7 +94,7 @@ class Budget:
         Monotonic-clock callable, injectable for deterministic tests.
 
     All mutating methods are thread-safe. Sample grants are *atomic
-    reservations*: concurrent shards never consume from the cap
+    reservations*: concurrent sample blocks never consume from the cap
     directly, so the granted total is scheduling-independent.
     """
 
@@ -334,13 +334,3 @@ class SampleCounts:
     def partial(self) -> bool:
         """Whether the run stopped before drawing every requested sample."""
         return self.done < self.requested
-
-    def merge(self, other: "SampleCounts") -> "SampleCounts":
-        """Combine shard results (counts and tallies add; reasons join)."""
-        reason = self.reason if self.reason is not None else other.reason
-        return SampleCounts(
-            counts=self.counts + other.counts,
-            done=self.done + other.done,
-            requested=self.requested + other.requested,
-            reason=reason,
-        )

@@ -20,7 +20,9 @@ starts:
 - **Cross-query rank-count reuse with deterministic top-up**
   (:class:`RankCountStore`): Monte-Carlo rank counts are stored in
   fixed-size sample blocks, each drawn under a per-block call seed
-  through the samplers' spawn-key determinism contract. Any requested
+  through the evaluator's spawn-key determinism contract. Blocks are
+  also the unit of parallel work (:class:`~repro.core.parallel.
+  BlockPool`). Any requested
   sample count decomposes into blocks, so a later query needing more
   samples reuses every cached block and only draws the missing suffix —
   and the merged counts are bit-identical to a cold run at the larger
@@ -54,7 +56,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -65,7 +66,7 @@ from .costmodel import CostModel
 from .errors import QueryError
 from .montecarlo import MonteCarloEvaluator
 from .pairwise import PairwiseCache
-from .parallel import ParallelSampler
+from .parallel import BlockPool
 from .records import UncertainRecord
 from .trace import accumulate
 
@@ -84,11 +85,6 @@ __all__ = [
 #: block ``i`` is always drawn under call seed ``i``, which is what makes
 #: warm results bit-identical to cold runs at any budget.
 SAMPLE_BLOCK = 4096
-
-#: A sampler front-end usable by the rank-count store: both
-#: :class:`~repro.core.montecarlo.MonteCarloEvaluator` and
-#: :class:`~repro.core.parallel.ParallelSampler` satisfy it.
-RankCountSampler = Union[MonteCarloEvaluator, ParallelSampler]
 
 
 def fingerprint_records(records: Sequence[UncertainRecord]) -> str:
@@ -195,11 +191,12 @@ class MigrationReport:
 class RankCountStore:
     """Block-structured Monte-Carlo rank counts for one sampler stream.
 
-    One store exists per ``(database fingerprint, sampling backend)``
+    One store exists per ``(database fingerprint, sampling stream)``
     pair. Counts are kept in pieces keyed ``(block index, piece size)``;
     piece ``(i, s)`` always holds the counts of
     ``sampler.rank_counts(s, seed=i)``, so its content is a pure
-    function of the key and the backend — never of request history.
+    function of the key and the stream — never of request history or
+    of which worker drew it.
     Requests for ``N`` samples decompose into full :data:`SAMPLE_BLOCK`
     pieces plus one remainder piece, which is exactly how a cold run at
     ``N`` would be drawn; serving cached pieces therefore reproduces the
@@ -244,22 +241,28 @@ class RankCountStore:
 
     def counts_for(
         self,
-        sampler: RankCountSampler,
+        sampler: MonteCarloEvaluator,
         samples: int,
         limit: int,
         budget: Optional[Budget] = None,
+        pool: Optional[BlockPool] = None,
     ) -> Tuple[SampleCounts, int]:
         """Merged counts for ``samples`` draws at rank depth ``limit``.
 
         Returns ``(counts, covered)`` where ``covered`` is the number of
         samples served from cache. Missing pieces are drawn through
-        ``sampler.rank_counts(size, seed=block_index)`` — the spawn-key
-        contract makes each piece independent of call order — and cached
-        when they complete cleanly. Under a ``budget``, only the *new*
-        samples are charged via :meth:`Budget.take_samples`; cached
-        coverage is free. A clipped draw is returned (and the clipped
-        piece cached under its actual size) but the requested piece is
-        left uncached, so a later request re-extends deterministically.
+        ``sampler.rank_counts(size, seed=block_index)`` on ``pool``
+        (serially when omitted); the spawn-key contract makes each
+        piece independent of call order and thread. Results merge in
+        piece order, and clean pieces are cached. Under a ``budget``,
+        only the *new* samples are charged via
+        :meth:`Budget.take_samples`; cached coverage is free, and the
+        grant is split over the missing pieces in order before any is
+        drawn. A grant-clipped piece is cached under its actual size,
+        so a later request re-extends deterministically. A piece that
+        a deadline or cancellation interrupts is merged but not
+        cached, and every later fresh piece is dropped: the store then
+        holds what a serial run would have drawn.
         """
         n = len(sampler.records)
         merged = np.zeros((n, limit))
@@ -281,28 +284,33 @@ class RankCountStore:
             grant = budget.take_samples(to_draw)
             if grant < to_draw:
                 reason = budget.exhausted_reason() or "samples"
+        draws: List[Tuple[int, int]] = []
         for idx, size in missing:
             if grant <= 0:
                 break
             take = min(size, grant)
             grant -= take
-            sc = sampler.rank_counts(
+            draws.append((idx, take))
+
+        def draw(idx: int, take: int) -> SampleCounts:
+            return sampler.rank_counts(
                 take, max_rank=limit, seed=idx, budget=budget
             )
+
+        parts = (pool or BlockPool()).map(
+            draw, draws, last=lambda sc: sc.partial
+        )
+        for (idx, take), sc in zip(draws, parts):
             merged += sc.counts
             done += sc.done
-            if sc.done == take:
-                # A clean piece — full or budget-clipped to ``take`` —
-                # is a pure function of (backend, idx, take): cache it.
-                self._pieces[(idx, take)] = (limit, sc.counts)  # reprolint: disable=CON001 -- externally synchronized: every caller reaches counts_for through ComputationCache.rank_counts, which holds self._lock (RLock)
-            else:
-                # The draw itself was interrupted mid-chunk (deadline);
-                # the counts are a usable prefix but not addressable.
+            if sc.partial:
+                # Interrupted mid-piece (deadline or cancellation): the
+                # counts are a usable prefix but not addressable.
                 reason = sc.reason or reason
-                break
-            if sc.reason is not None:
-                reason = sc.reason
-                break
+            else:
+                # A clean piece — full or grant-clipped to ``take`` — is
+                # a pure function of (stream, idx, take): cache it.
+                self._pieces[(idx, take)] = (limit, sc.counts)  # reprolint: disable=CON001 -- externally synchronized: every caller reaches counts_for through ComputationCache.rank_counts, which holds self._lock (RLock); block threads only draw, the merge runs on the calling thread
         return (
             SampleCounts(
                 counts=merged, done=done, requested=samples, reason=reason
@@ -561,21 +569,22 @@ class ComputationCache:
         self,
         fingerprint: str,
         backend: Hashable,
-        sampler: RankCountSampler,
+        sampler: MonteCarloEvaluator,
         samples: int,
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
+        pool: Optional[BlockPool] = None,
     ) -> SampleCounts:
         """Memoized ``rank_counts`` with cross-query deterministic top-up.
 
         ``backend`` must identify everything besides the fingerprint
-        that affects sampled values: the sampler kind and seed, shard
-        count, and any correlation model. Under a ``budget``, cached
-        coverage is free and only missing samples are charged. The
-        returned counts are bit-identical to
-        ``sampler.rank_counts`` run cold piece by piece at the same
-        total, whatever mixture of cache and fresh drawing produced
-        them.
+        that affects sampled values: the sampler seed and any
+        correlation model. Under a ``budget``, cached coverage is free
+        and only missing samples are charged. Missing pieces run on
+        ``pool`` (see :meth:`RankCountStore.counts_for`). The returned
+        counts are bit-identical to ``sampler.rank_counts`` run cold
+        piece by piece at the same total, whatever mixture of cache,
+        fresh drawing and worker threads produced them.
         """
         if samples < 1:
             raise QueryError("need at least one sample")
@@ -602,7 +611,7 @@ class ComputationCache:
                 metrics.inc("cache_misses_total", 1.0, kind="rank-counts")
                 accumulate("cache_misses")
             result, _ = store.counts_for(
-                sampler, samples, limit, budget=budget
+                sampler, samples, limit, budget=budget, pool=pool
             )
             self._evict()
             return result

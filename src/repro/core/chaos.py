@@ -1,6 +1,6 @@
 """Deterministic fault injection for the robustness test harness.
 
-The degradation ladder (:mod:`repro.core.engine`), shard retry
+The degradation ladder (:mod:`repro.core.engine`), block retry
 (:mod:`repro.core.parallel`), and oracle retry (:mod:`repro.core.mcmc`)
 paths exist to survive real-world failures: NaN scores from corrupt
 inputs, slow or crashing distribution kernels, flaky sampling oracles,
@@ -31,8 +31,8 @@ plain asyncio clients with every wait bounded, so a hung server fails
 the test instead of hanging it.
 
 Note on threading: schedule counters are shared across threads, so
-*which shard* observes call number ``k`` depends on scheduling. Raising
-faults still preserve bit-identical results (the retried shard
+*which block* observes call number ``k`` depends on scheduling. Raising
+faults still preserve bit-identical results (the retried block
 recomputes deterministically from its own seed); value-corrupting modes
 (``"nan"``/``"inf"``) are scheduling-dependent under ``workers > 1``
 and are intended for serial determinism tests and ingest validation.
@@ -60,7 +60,7 @@ __all__ = [
     "FaultyDistribution",
     "FaultyOracle",
     "FaultInjector",
-    "crashing_factory",
+    "crashing_evaluator",
     "deadline_expired_body",
     "disconnecting_request",
     "format_http_request",
@@ -155,8 +155,8 @@ class FaultyDistribution(ScoreDistribution):
 
     Because this class is not a known family, ``build_sampling_plan``
     routes it to the generic per-record batch — injected faults
-    propagate into the columnar samplers and the parallel shards, which
-    is exactly the point.
+    propagate into the columnar samplers and the parallel sample
+    blocks, which is exactly the point.
     """
 
     _MODES = ("raise", "nan", "inf", "slow")
@@ -247,10 +247,10 @@ class FaultyOracle:
 class _CrashingEvaluator:
     """Attribute proxy that crashes scheduled estimator-method calls.
 
-    Stands in for a shard's ``MonteCarloEvaluator`` inside
-    ``ParallelSampler``: attribute lookups return bound-method wrappers
-    that consult the shared schedule before delegating, simulating a
-    worker crash mid-shard.
+    Stands in for the ``MonteCarloEvaluator`` whose sample blocks the
+    rank-count store draws: attribute lookups return bound-method
+    wrappers that consult the shared schedule before delegating,
+    simulating a worker crash mid-block.
     """
 
     def __init__(self, inner: object, schedule: FaultSchedule) -> None:
@@ -264,28 +264,21 @@ class _CrashingEvaluator:
 
         def crashing(*args: object, **kwargs: object) -> object:
             if self._schedule.fire():
-                raise InjectedFault(f"scheduled shard crash in {name}")
+                raise InjectedFault(f"scheduled block crash in {name}")
             return value(*args, **kwargs)
 
         return crashing
 
 
-def crashing_factory(
-    factory: Callable[..., object], schedule: FaultSchedule
-) -> Callable[..., object]:
-    """Wrap a ``ParallelSampler`` evaluator factory with scheduled crashes.
+def crashing_evaluator(evaluator: object, schedule: FaultSchedule) -> object:
+    """Wrap one evaluator so scheduled estimator calls crash.
 
-    Each estimator-method call on any produced evaluator consults the
-    shared ``schedule``; scheduled calls raise :class:`InjectedFault`
-    exactly as a crashed worker would surface. With ``limit=1`` the
-    retried shard (same seed, clean call) reproduces the original
-    answer bit-for-bit.
+    Each estimator-method call consults ``schedule``; scheduled calls
+    raise :class:`InjectedFault` exactly as a crashed worker would
+    surface. With ``limit=1`` the retried block (same seed, clean call)
+    reproduces the original answer bit-for-bit.
     """
-
-    def wrapped(*args: object, **kwargs: object) -> object:
-        return _CrashingEvaluator(factory(*args, **kwargs), schedule)
-
-    return wrapped
+    return _CrashingEvaluator(evaluator, schedule)
 
 
 class FaultInjector:

@@ -80,11 +80,7 @@ from .costmodel import (
     stage_key,
 )
 from .numeric import wilson_half_width
-from .parallel import (
-    DEFAULT_SHARDS,
-    ParallelSampler,
-    resolve_workers,
-)
+from .parallel import BlockPool, resolve_workers
 from .planner import QueryPlan, QueryPlanner
 from .ppo import ProbabilisticPartialOrder
 from .pruning import shrink_database
@@ -227,13 +223,15 @@ class RankingEngine:
         k-dominance pruning stays sound because dominance is a
         support-containment property that holds on every joint sample.
     workers:
-        ``None`` (default) keeps the legacy single-evaluator sampling
-        path. Any other value — an integer, ``"auto"``, or even ``1`` —
-        switches the Monte-Carlo paths to the sharded
-        :class:`~repro.core.parallel.ParallelSampler` and runs MCMC
-        chains on that many threads. Because shard streams are derived
-        from a fixed shard count, every result is identical for every
-        worker count; the knob only changes wall-clock time.
+        Threads for rank-count sample blocks and MCMC chains: an
+        integer, ``"auto"``, or ``None`` (default), which means ``1``.
+        The rank-count store splits every request into fixed
+        ``SAMPLE_BLOCK`` pieces and block ``i`` is always drawn with
+        seed ``i``; workers only decide which thread draws a block
+        (:class:`~repro.core.parallel.BlockPool`). Every result is
+        therefore identical for every worker count, and engines that
+        differ only in ``workers`` share cached blocks; the knob only
+        changes wall-clock time.
     budget:
         Optional default :class:`~repro.core.budget.Budget` applied to
         every query (a per-query ``budget=`` argument overrides it).
@@ -312,14 +310,10 @@ class RankingEngine:
         self.rng = np.random.default_rng(seed)
         # Resolve eagerly so a bad value fails at construction, not at
         # the first query.
-        self.workers: Optional[int] = (
-            None if workers is None else resolve_workers(workers)
-        )
-        # Every ParallelSampler this engine builds, so close() can tear
-        # down their thread pools. Samplers re-create pools lazily, so a
-        # closed engine (or a sampler shared through a common cache)
-        # remains usable — close() only releases what is currently held.
-        self._owned_samplers: List[ParallelSampler] = []
+        self.workers = resolve_workers(workers)
+        # The block pool is per engine, not per cached evaluator, so a
+        # shared cache never decides another engine's parallelism.
+        self._pool = BlockPool(self.workers)
         self.prune = prune
         self.exact_record_limit = exact_record_limit
         self.prefix_enumeration_limit = prefix_enumeration_limit
@@ -601,22 +595,16 @@ class RankingEngine:
         )
 
     def _backend_key(self, sampler_seed: Optional[int] = None) -> Tuple:
-        """Identity of this engine's sampling stream, minus the workers.
+        """Identity of this engine's sampling stream.
 
         Keys every sampled artifact together with the database
-        fingerprint. Includes the sampler kind (serial vs sharded —
-        different stream layouts), the sampler seed (the engine's, or a
-        per-query override), the fixed shard count, and the copula, but
-        deliberately *not* the worker count: results are
-        worker-invariant by contract, so engines that differ only in
-        ``workers`` share sampled counts.
+        fingerprint: the sampler seed (the engine's, or a per-query
+        override) and the copula. The worker count is deliberately
+        absent: results are worker-invariant by contract, so engines
+        that differ only in ``workers`` share sampled artifacts.
         """
         seed = self._sampler_seed if sampler_seed is None else sampler_seed
-        base: Tuple = (
-            ("mc", seed)
-            if self.workers is None
-            else ("shard", seed, DEFAULT_SHARDS)
-        )
+        base: Tuple = ("mc", seed)
         if self._copula_token is not None:
             base = base + ("copula", self._copula_token)
         return base
@@ -637,76 +625,58 @@ class RankingEngine:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8)
         return int.from_bytes(digest.digest(), "big")
 
-    def _sampler_factory(
-        self, subset: Sequence[UncertainRecord], plan
-    ) -> Callable[[int], MonteCarloEvaluator]:
-        """Seed-to-evaluator constructor over ``subset``, honoring the copula.
-
-        A Gaussian copula marginalizes to any record subset by taking
-        the corresponding correlation submatrix, so pruned databases
-        keep exactly the joint distribution of the surviving records.
-        The factory form lets :class:`ParallelSampler` build one
-        copula-aware evaluator per shard; ``plan`` is the shared
-        compiled sampling plan for ``subset``.
-        """
-        if self.copula is None:
-            return lambda s: MonteCarloEvaluator(subset, seed=s, plan=plan)
-        from .correlation import CorrelatedMonteCarloEvaluator, GaussianCopula
-
-        wanted = {rec.record_id for rec in subset}
-        idx = [
-            i
-            for i, rec in enumerate(self.records)
-            if rec.record_id in wanted
-        ]
-        sub = self.copula.correlation[np.ix_(idx, idx)]
-        return lambda s: CorrelatedMonteCarloEvaluator(
-            subset, GaussianCopula(sub), seed=s, plan=plan
-        )
-
     def _sampler(
         self,
         subset: Sequence[UncertainRecord],
         fp: str,
         sampler_seed: Optional[int] = None,
-    ) -> Union[MonteCarloEvaluator, ParallelSampler]:
-        """Monte-Carlo front-end over ``subset``, cached by fingerprint.
+    ) -> MonteCarloEvaluator:
+        """Monte-Carlo evaluator over ``subset``, cached by fingerprint.
 
-        With ``workers=None`` this is a single evaluator; otherwise a
-        sharded :class:`ParallelSampler` whose results are worker-count
-        invariant. The evaluator object is keyed by the worker count too
-        (a sampler built for one pool shape should not decide another
-        engine's parallelism), but the *counts* it produces are keyed by
-        :meth:`_backend_key` alone and therefore shared.
+        Built on the shared compiled sampling plan for ``subset``. A
+        Gaussian copula marginalizes to any record subset by taking the
+        corresponding correlation submatrix, so pruned databases keep
+        exactly the joint distribution of the surviving records.
         """
         seed = self._sampler_seed if sampler_seed is None else sampler_seed
 
-        def build() -> Union[MonteCarloEvaluator, ParallelSampler]:
-            factory = self._sampler_factory(subset, self._plan_for(fp, subset))
-            if self.workers is None:
-                return factory(seed)
-            sampler = ParallelSampler(
-                subset, seed=seed, workers=self.workers, factory=factory
+        def build() -> MonteCarloEvaluator:
+            plan = self._plan_for(fp, subset)
+            if self.copula is None:
+                return MonteCarloEvaluator(subset, seed=seed, plan=plan)
+            from .correlation import (
+                CorrelatedMonteCarloEvaluator,
+                GaussianCopula,
             )
-            self._owned_samplers.append(sampler)  # reprolint: disable=CON001 -- samplers are only built on the query thread (cache builds run inline); worker pools never construct samplers
-            return sampler
+
+            wanted = {rec.record_id for rec in subset}
+            idx = [
+                i
+                for i, rec in enumerate(self.records)
+                if rec.record_id in wanted
+            ]
+            sub = self.copula.correlation[np.ix_(idx, idx)]
+            return CorrelatedMonteCarloEvaluator(
+                subset, GaussianCopula(sub), seed=seed, plan=plan
+            )
 
         return self.cache.artifact(
-            "sampler",
-            (fp, self._backend_key(sampler_seed), self.workers),
-            build,
+            "sampler", (fp, self._backend_key(sampler_seed)), build
         )
 
     def _rank_counts(
         self,
         fp: str,
-        sampler: Union[MonteCarloEvaluator, ParallelSampler],
+        sampler: MonteCarloEvaluator,
         samples: int,
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
         sampler_seed: Optional[int] = None,
     ):
-        """Memoized rank counts with deterministic top-up (see cache)."""
+        """Memoized rank counts with deterministic top-up (see cache).
+
+        Missing sample blocks run on this engine's block pool.
+        """
         return self.cache.rank_counts(
             fp,
             self._backend_key(sampler_seed),
@@ -714,6 +684,7 @@ class RankingEngine:
             samples,
             max_rank=max_rank,
             budget=budget,
+            pool=self._pool,
         )
 
     def _guard_copula(self, method: str) -> str:
@@ -1248,11 +1219,11 @@ class RankingEngine:
                 and ctx.plan_samples < requested
             ):
                 effective = ctx.plan_samples
-            # The cache — not the shards — takes the sample grant for
-            # whatever cached blocks cannot cover, so the number of
-            # fresh samples drawn is a pure function of budget state
-            # and cache contents, never of shard scheduling (the
-            # determinism-under-budget contract).
+            # The cache — not the block threads — takes the sample
+            # grant for whatever cached blocks cannot cover, so the
+            # number of fresh samples drawn is a pure function of
+            # budget state and cache contents, never of scheduling
+            # (the determinism-under-budget contract).
             with span("sample", requested=effective) as sample_span:
                 sc = self._rank_counts(
                     fp,
@@ -1749,17 +1720,12 @@ class RankingEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the thread pools this engine created.
+        """Release this engine's block thread pool.
 
-        Tears down every owned :class:`ParallelSampler`'s pool.
-        Idempotent, and not terminal: samplers re-create pools lazily,
-        so an engine can keep answering queries after ``close()`` (it
-        just starts cold). Samplers obtained from a shared computation
-        cache may be serving other engines; closing them here is safe
-        for the same reason.
+        Idempotent, and not terminal: the pool is re-created lazily, so
+        an engine can keep answering queries after ``close()``.
         """
-        for sampler in self._owned_samplers:
-            sampler.close()
+        self._pool.close()
 
     def __enter__(self) -> "RankingEngine":
         return self

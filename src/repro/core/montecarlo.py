@@ -18,8 +18,9 @@ into a :class:`~repro.core.distributions.SamplingPlan` that groups
 records by distribution family, so drawing an ``(s, n)`` score matrix
 and evaluating the CDF products of Eq. 6 cost a constant number of
 NumPy calls per family group instead of one Python call per record.
-For sharded multi-worker execution of the same estimators see
-:mod:`repro.core.parallel`.
+For multi-worker rank counting (sample blocks drawn on a thread pool)
+see :mod:`repro.core.parallel` and :class:`~repro.core.cache.
+RankCountStore`.
 """
 
 from __future__ import annotations

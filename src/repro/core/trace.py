@@ -1,14 +1,15 @@
 """Zero-dependency query tracing: nested spans with wall/CPU timings.
 
 The engine's query paths cross four evaluation methods, parallel
-shards, MCMC chains, and a shared computation cache; when a query is
+sample blocks, MCMC chains, and a shared computation cache; when a query is
 slow or degrades, ``elapsed`` alone cannot say *where* the time went.
 This module provides the span tree every query path emits into:
 
 - :class:`Span` — one timed region with a name, structured attributes,
   monotonic wall-clock (``time.perf_counter``) and process CPU
   (``time.process_time``) timings, and thread-safe child spans, so
-  parallel shards and MCMC chains can attach children concurrently.
+  parallel sample blocks and MCMC chains can attach children
+  concurrently.
 - A **contextvar-carried active span**: :func:`span` opens a child of
   whatever span is active in the current context and makes it active
   for the duration, so instrumented code below the engine needs no
@@ -23,7 +24,7 @@ This module provides the span tree every query path emits into:
   :func:`render_trace` and the ``python -m repro.trace`` CLI.
 
 Span CPU timings use the *process* CPU clock: for spans whose work runs
-concurrently with other spans (shards, chains) the CPU delta includes
+concurrently with other spans (blocks, chains) the CPU delta includes
 their neighbours' work and is best read as "process CPU burned while
 this span was open".
 """

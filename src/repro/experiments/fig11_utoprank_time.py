@@ -35,8 +35,8 @@ def run(
 ) -> List[dict]:
     """One row per (dataset, k): UTop-Rank(1, k) evaluation time.
 
-    ``workers`` feeds the engine's sharded-sampling knob; answers are
-    identical for every value, only ``seconds`` moves.
+    ``workers`` sets how many threads draw the engine's sample blocks;
+    answers are identical for every value, only ``seconds`` moves.
     """
     datasets = datasets if datasets is not None else paper_suite(size)
     rows = []

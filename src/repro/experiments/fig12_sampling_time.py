@@ -8,15 +8,15 @@ database sizes produced by the k-dominance criterion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
+from ..core.montecarlo import MonteCarloEvaluator
 from ..core.pruning import shrink_database
 from ..core.records import UncertainRecord
 from .fig11_utoprank_time import K_VALUES
 from .harness import (
     DEFAULT_SUITE_SIZE,
     format_table,
-    make_sampler,
     paper_suite,
     time_call,
 )
@@ -30,14 +30,8 @@ def run(
     samples: int = 10_000,
     size: int = DEFAULT_SUITE_SIZE,
     seed: int = 7,
-    workers: Union[int, str, None] = None,
 ) -> List[dict]:
-    """One row per (dataset, k): sampling-and-ranking time.
-
-    ``workers`` selects the sharded parallel sampler (see
-    :func:`~repro.experiments.harness.make_sampler`); the drawn
-    distribution is unchanged, only ``seconds`` moves.
-    """
+    """One row per (dataset, k): sampling-and-ranking time."""
     datasets = datasets if datasets is not None else paper_suite(size)
     rows = []
     for name, records in datasets.items():
@@ -45,7 +39,7 @@ def run(
             if k > len(records):
                 continue
             kept = shrink_database(records, k).kept
-            sampler = make_sampler(kept, seed=seed, workers=workers)
+            sampler = MonteCarloEvaluator(kept, seed=seed)
             _rankings, elapsed = time_call(sampler.sample_rankings, samples)
             rows.append(
                 {
@@ -53,7 +47,6 @@ def run(
                     "k": k,
                     "pruned_size": len(kept),
                     "samples": samples,
-                    "workers": workers,
                     "seconds": elapsed,
                 }
             )

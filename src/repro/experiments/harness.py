@@ -12,14 +12,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.budget import Budget
 from ..core.cache import ComputationCache
 from ..core.engine import RankingEngine
-from ..core.montecarlo import MonteCarloEvaluator
-from ..core.parallel import ParallelSampler
 from ..core.records import UncertainRecord
 from ..datasets.synthetic import paper_dataset_suite
 
 __all__ = [
     "paper_suite",
-    "make_sampler",
     "make_engine",
     "time_call",
     "format_table",
@@ -38,23 +35,6 @@ def paper_suite(
 ) -> Dict[str, List[UncertainRecord]]:
     """The five evaluation datasets keyed by their paper names."""
     return paper_dataset_suite(size=size, seed=seed)
-
-
-def make_sampler(
-    records: Sequence[UncertainRecord],
-    seed: int = 0,
-    workers: Union[int, str, None] = None,
-) -> Union[MonteCarloEvaluator, ParallelSampler]:
-    """The sampling front-end an experiment should measure.
-
-    ``workers=None`` gives the plain single-evaluator columnar path;
-    anything else gives the sharded :class:`ParallelSampler` (whose
-    estimates are invariant to the worker count — the knob only moves
-    wall-clock time, which is exactly what the timing figures measure).
-    """
-    if workers is None:
-        return MonteCarloEvaluator(records, seed=seed)
-    return ParallelSampler(records, seed=seed, workers=workers)
 
 
 def make_engine(

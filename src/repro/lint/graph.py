@@ -26,7 +26,7 @@ reachable set):
   methods of its class — this is how the engine's string-keyed
   evaluator dispatch (``_EVAL`` + ``getattr``) stays visible;
 - a bare ``Name`` reference to a known function (callback passing,
-  e.g. ``self._map_shards(count, samples)``) adds an edge even without
+  e.g. ``pool.map(draw, blocks)``) adds an edge even without
   a direct call, as does defining a nested function.
 
 Everything here is pure stdlib ``ast`` over already-parsed

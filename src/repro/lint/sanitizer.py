@@ -11,8 +11,9 @@ and cache temperature. It replays a seeded mixed-query workload
   microsecond sleeps at span boundaries — the natural preemption points
   between evaluation stages — which reorders worker interleavings
   without touching any engine code path);
-- across a worker grid (default 1/2/4) so sharded sampling and MCMC
-  chain pools run both serial and concurrent;
+- across a worker grid (default 1/2/4) so rank-count sample blocks
+  and MCMC chain pools run both serial and concurrent (the workload's
+  multi-block UTop-Rank query makes the block pool draw concurrently);
 - twice per engine, so the second pass answers from a warm
   :class:`~repro.core.cache.ComputationCache`;
 - across a planner grid (the CLI's ``--planner`` flag defaults to
@@ -30,6 +31,9 @@ and cache temperature. It replays a seeded mixed-query workload
   query runs through ``changes_since`` delta consumption and
   :meth:`~repro.core.cache.ComputationCache.migrate` — and must still
   be byte-identical to the direct-records baseline;
+- once more in a subprocess with a different ``PYTHONHASHSEED``, for
+  the baseline cell only, so answers that follow set or dict
+  iteration order of hashed keys show up as divergences;
 
 and diffs every :meth:`~repro.core.queries.QueryResult.to_dict` against
 the unperturbed serial baseline **byte-for-byte** (canonicalized: the
@@ -50,12 +54,17 @@ ladder.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import repro
 from repro.core import RankingEngine, certain, uniform
+from repro.core.cache import SAMPLE_BLOCK
 from repro.core.queries import Query, QueryResult
 from repro.core.records import UncertainRecord
 from repro.core.trace import set_span_start_hook
@@ -216,10 +225,22 @@ def build_workload(k: int = 3) -> List[Query]:
 
     Each stochastic query pins an explicit ``seed`` so answers are
     addressable across engines built with different worker settings.
+    One UTop-Rank query asks for more than two sample blocks, so its
+    rank counts are drawn on the block pool whatever the engine's
+    default sample count.
     """
     return [
         Query(kind="utop_rank", i=1, j=2, l=2, method="exact"),
         Query(kind="utop_rank", i=1, j=k, l=2, method="montecarlo", seed=11),
+        Query(
+            kind="utop_rank",
+            i=1,
+            j=k,
+            l=2,
+            method="montecarlo",
+            seed=19,
+            samples=2 * SAMPLE_BLOCK + 500,
+        ),
         Query(kind="utop_prefix", k=k, l=2, method="montecarlo", seed=12),
         Query(kind="utop_prefix", k=k, l=2, method="mcmc", seed=13),
         Query(kind="utop_set", k=k, l=2, method="montecarlo", seed=14),
@@ -377,6 +398,7 @@ class SanitizerReport:
     mutate_grid: Tuple[str, ...] = DEFAULT_MUTATE_GRID
     runs: int = 0
     comparisons: int = 0
+    hash_seed_comparisons: int = 0
     jitter_calls: int = 0
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -398,6 +420,7 @@ class SanitizerReport:
             "queries": self.queries,
             "runs": self.runs,
             "comparisons": self.comparisons,
+            "hash_seed_comparisons": self.hash_seed_comparisons,
             "jitter_calls": self.jitter_calls,
             "divergences": [
                 {
@@ -415,7 +438,9 @@ class SanitizerReport:
         lines = [
             f"determinism sanitizer: {self.runs} run(s), "
             f"{self.comparisons} comparison(s) over {self.queries} "
-            f"queries, workers={'/'.join(map(str, self.worker_grid))}, "
+            f"queries ({self.hash_seed_comparisons} against a "
+            f"subprocess with another PYTHONHASHSEED), "
+            f"workers={'/'.join(map(str, self.worker_grid))}, "
             f"planner={'/'.join(self.planner_grid)}, "
             f"mutate={'/'.join(self.mutate_grid)}, "
             f"repeats={self.repeats}, "
@@ -534,7 +559,9 @@ def run_sanitizer(
     (repeat, workers, planner, mutate, cache-temperature) cell is
     compared query-by-query against the baseline cell (repeat 0, first
     worker setting, first planner setting, first mutate setting, cold
-    cache).
+    cache). After the grid, the baseline cell is replayed once in a
+    subprocess under a different ``PYTHONHASHSEED`` and compared the
+    same way (counted in ``hash_seed_comparisons``).
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -557,6 +584,19 @@ def run_sanitizer(
         mutate_grid=mutates,
     )
 
+    def cell(
+        workers: int, planner_mode: str, mutate_mode: str
+    ) -> Dict[str, Any]:
+        return {
+            "workers": workers,
+            "samples": samples,
+            "mcmc_steps": mcmc_steps,
+            "mcmc_chains": mcmc_chains,
+            "engine_seed": 7,
+            "planner": planner_mode == "on",
+            "mutate": mutate_mode == "on",
+        }
+
     baseline: Optional[_Execution] = None
     for repeat in range(repeats + 1):
         jitter: Optional[SpanJitter] = None
@@ -578,13 +618,7 @@ def run_sanitizer(
                             label,
                             database,
                             queries,
-                            workers=workers,
-                            samples=samples,
-                            mcmc_steps=mcmc_steps,
-                            mcmc_chains=mcmc_chains,
-                            engine_seed=7,
-                            planner=planner_mode == "on",
-                            mutate=mutate_mode == "on",
+                            **cell(workers, planner_mode, mutate_mode),
                         )
                         report.runs += 1
                         if baseline is None:
@@ -597,7 +631,71 @@ def run_sanitizer(
             set_span_start_hook(previous)
         if jitter is not None:
             report.jitter_calls += jitter.calls
+    assert baseline is not None
+    replay = _replay_with_other_hash_seed(
+        records, k, cell(grid[0], planners[0], mutates[0])
+    )
+    before = report.comparisons
+    _compare(report, baseline, replay, queries)
+    report.hash_seed_comparisons = report.comparisons - before
     return report
+
+
+def _replay_with_other_hash_seed(
+    records: int, k: int, cell: Dict[str, Any]
+) -> _Execution:
+    """The cold pass of one grid cell, run in a fresh interpreter.
+
+    The child gets a ``PYTHONHASHSEED`` that differs from this
+    process's, so string hashing (and with it set and dict iteration
+    order over hashed keys) changes while everything the answers may
+    depend on stays fixed.
+    """
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (package_root, env.get("PYTHONPATH")) if path
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.lint.sanitizer import _replay_main; _replay_main()",
+        ],
+        input=json.dumps({"records": records, "k": k, **cell}),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"PYTHONHASHSEED={hash_seed} replay failed:\n{proc.stderr}"
+        )
+    out = json.loads(proc.stdout)
+    return _Execution(
+        f"PYTHONHASHSEED={hash_seed} subprocess cold",
+        [json.loads(line) for line in out["encoded"]],
+        [line.encode("utf-8") for line in out["encoded"]],
+        out["traces"],
+    )
+
+
+def _replay_main() -> None:
+    """Subprocess side of the hash-seed leg: cell spec in, cold pass out."""
+    spec = json.load(sys.stdin)
+    records = build_records(spec.pop("records"))
+    queries = build_workload(k=spec.pop("k"))
+    cold, _ = _execute("replay", records, queries, **spec)
+    json.dump(
+        {
+            "encoded": [line.decode("utf-8") for line in cold.encoded],
+            "traces": cold.traces,
+        },
+        sys.stdout,
+    )
 
 
 def _compare(

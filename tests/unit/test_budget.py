@@ -7,6 +7,7 @@ import pytest
 
 from repro import certain, uniform
 from repro.core.budget import Budget, CancellationToken, SampleCounts
+from repro.core.cache import RankCountStore
 from repro.core.errors import EvaluationError
 from repro.core.metrics import MetricsRegistry, use_registry
 from repro.core.linext import (
@@ -17,7 +18,7 @@ from repro.core.linext import (
 from repro.core.exact import ExactEvaluator
 from repro.core.montecarlo import MonteCarloEvaluator
 from repro.core.numeric import wilson_half_width
-from repro.core.parallel import ParallelSampler
+from repro.core.parallel import BlockPool
 from repro.core.ppo import ProbabilisticPartialOrder
 
 
@@ -182,15 +183,6 @@ class TestSampleCounts:
         full = SampleCounts(np.zeros((2, 2)), done=10, requested=10)
         assert not full.partial
 
-    def test_merge_adds_and_keeps_first_reason(self):
-        a = SampleCounts(np.ones((2, 2)), done=3, requested=5, reason=None)
-        b = SampleCounts(np.ones((2, 2)), done=2, requested=5, reason="deadline")
-        merged = a.merge(b)
-        assert merged.done == 5
-        assert merged.requested == 10
-        assert merged.reason == "deadline"
-        np.testing.assert_array_equal(merged.counts, np.full((2, 2), 2.0))
-
 
 class TestWilsonHalfWidth:
     def test_zero_samples_is_infinite(self):
@@ -236,20 +228,29 @@ class TestEvaluatorBudget:
         assert counts.partial
         assert counts.reason == "deadline"
 
+    @staticmethod
+    def _block_counts(db, workers, budget=None):
+        """500 samples as five 100-sample blocks on a ``workers`` pool."""
+        pool = BlockPool(workers)
+        try:
+            counts, _ = RankCountStore(block=100).counts_for(
+                MonteCarloEvaluator(db, seed=5), 500, 4, budget, pool
+            )
+        finally:
+            pool.close()
+        return counts
+
     def test_parallel_rank_counts_worker_invariant(self, small_db):
-        serial = ParallelSampler(small_db, seed=5, workers=1)
-        threaded = ParallelSampler(small_db, seed=5, workers=4)
-        a = serial.rank_counts(500, seed=2)
-        b = threaded.rank_counts(500, seed=2)
+        a = self._block_counts(small_db, workers=1)
+        b = self._block_counts(small_db, workers=4)
         assert a.done == b.done == 500
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_parallel_rank_counts_match_legacy_matrix(self, small_db):
         # A budget that never binds leaves the merged counts identical
-        # to the unbudgeted (legacy) path's.
-        sampler = ParallelSampler(small_db, seed=5, workers=2)
-        budgeted = sampler.rank_counts(500, seed=2, budget=Budget())
-        plain = sampler.rank_counts(500, seed=2)
+        # to the unbudgeted path's.
+        budgeted = self._block_counts(small_db, workers=2, budget=Budget())
+        plain = self._block_counts(small_db, workers=2)
         assert budgeted.done == plain.done == 500
         np.testing.assert_array_equal(budgeted.counts, plain.counts)
 

@@ -6,17 +6,19 @@ Covers the four pillars of the cache design:
 - generic artifact memoization with LRU/byte eviction and stats;
 - block-structured Monte-Carlo rank counts with *deterministic top-up*
   (extending a cached run is bit-identical to a cold run at the larger
-  budget, for both sampler front-ends, any worker count, and under an
+  budget, serially or on a block pool of any width, and under an
   active Budget);
 - engine-level wiring: repeated queries hit, mutations miss, and the
   per-query ``QueryResult.cache`` delta reports it.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import certain, uniform
-from repro.core.budget import Budget
+from repro.core.budget import Budget, CancellationToken
 from repro.core.cache import (
     CacheStats,
     ComputationCache,
@@ -28,7 +30,7 @@ from repro.core.chaos import FaultSchedule, FaultyDistribution
 from repro.core.engine import RankingEngine
 from repro.core.errors import QueryError
 from repro.core.montecarlo import MonteCarloEvaluator
-from repro.core.parallel import ParallelSampler
+from repro.core.parallel import BlockPool
 from repro.core.records import UncertainRecord
 from repro.db.scoring import AttributeScore
 from repro.db.table import UncertainTable
@@ -243,7 +245,7 @@ class TestArtifact:
 
 
 def fresh_counts(make_sampler, samples, limit, block):
-    """A cold run at ``samples`` through a fresh store (the reference)."""
+    """A cold serial run at ``samples`` through a fresh store (the reference)."""
     store = RankCountStore(block=block)
     sc, covered = store.counts_for(make_sampler(), samples, limit)
     assert covered == 0
@@ -261,23 +263,26 @@ class TestRankCountStoreTopUp:
         assert store.pieces(200) == [(0, 64), (1, 64), (2, 64), (3, 8)]
         with pytest.raises(QueryError):
             store.pieces(0)
+        with pytest.raises(QueryError, match="block size"):
+            RankCountStore(block=0)
 
     @pytest.mark.parametrize("workers", [None, 1, 2, 3])
     def test_topup_bit_identical_to_cold(self, workers):
+        # ``None`` draws without a pool (inline); the reference is
+        # always the serial cold run.
         db = small_db()
 
         def make_sampler():
-            if workers is None:
-                return MonteCarloEvaluator(db, seed=5)
-            return ParallelSampler(db, seed=5, workers=workers)
+            return MonteCarloEvaluator(db, seed=5)
 
+        pool = None if workers is None else BlockPool(workers)
         limit = len(db)
         reference = fresh_counts(make_sampler, 230, limit, self.BLOCK)
         store = RankCountStore(block=self.BLOCK)
         sampler = make_sampler()
-        first, covered = store.counts_for(sampler, 100, limit)
+        first, covered = store.counts_for(sampler, 100, limit, pool=pool)
         assert covered == 0 and first.done == 100
-        extended, covered = store.counts_for(sampler, 230, limit)
+        extended, covered = store.counts_for(sampler, 230, limit, pool=pool)
         assert covered == 64  # block 0 is reusable; the 36-tail is not
         assert extended.done == 230
         assert np.array_equal(extended.counts, reference)
@@ -288,9 +293,11 @@ class TestRankCountStoreTopUp:
         outs = []
         for workers in (1, 2, 4):
             store = RankCountStore(block=self.BLOCK)
-            sampler = ParallelSampler(db, seed=5, workers=workers)
-            store.counts_for(sampler, 100, limit)
-            sc, _ = store.counts_for(sampler, 230, limit)
+            sampler = MonteCarloEvaluator(db, seed=5)
+            with_pool = BlockPool(workers)
+            store.counts_for(sampler, 100, limit, pool=with_pool)
+            sc, _ = store.counts_for(sampler, 230, limit, pool=with_pool)
+            with_pool.close()
             outs.append(sc.counts)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
@@ -447,9 +454,10 @@ class TestEngineCache:
             db, samples=500, workers=3, cache=cache
         ).utop_rank(1, 3, method="montecarlo")
         assert wide.answers == serial.answers
-        # the second engine's rank-count request is served from cache
+        # the second engine's evaluator and rank counts are both
+        # served from cache: the worker count is not part of any key
         assert wide.cache["topups"] == 0
-        assert wide.cache["misses"] <= 2  # its own sampler object only
+        assert wide.cache["misses"] == 0
 
     def test_mutation_changes_fingerprint_no_stale_reuse(self):
         db = small_db(30)
@@ -509,13 +517,78 @@ class TestEngineCache:
         assert clipped.partial
 
 
+class _StallingBlockZero(MonteCarloEvaluator):
+    """Block 0 draws one 16-row chunk, then stalls until block 1 is done.
+
+    Once block 1 has returned, block 0 cancels the query's budget, so it
+    stops at its next chunk boundary: block 0 is interrupted, block 1
+    complete.
+    """
+
+    def __init__(self, records, token):
+        super().__init__(records, seed=5)
+        self._MAX_MATRIX_CELLS = 16 * len(records)
+        self.token = token
+        self.block_one_done = threading.Event()
+        self._local = threading.local()
+
+    def rank_counts(self, samples, max_rank=None, seed=None, budget=None):
+        self._local.stall = seed == 0
+        result = super().rank_counts(samples, max_rank, seed, budget)
+        if seed == 1:
+            self.block_one_done.set()
+        return result
+
+    def _draw(self, rng, samples):
+        scores = super()._draw(rng, samples)
+        if self._local.stall:
+            self._local.stall = False
+            assert self.block_one_done.wait(10)
+            self.token.cancel()
+        return scores
+
+
+class TestInterruptedBlock:
+    def test_only_in_order_prefix_is_merged_and_cached(self):
+        db = small_db()
+        limit = len(db)
+        token = CancellationToken()
+        sampler = _StallingBlockZero(db, token)
+        store = RankCountStore(block=64)
+        pool = BlockPool(2)
+        try:
+            sc, covered = store.counts_for(
+                sampler, 128, limit, budget=Budget(token=token), pool=pool
+            )
+        finally:
+            pool.close()
+        assert sampler.block_one_done.is_set()
+        assert covered == 0
+        assert sc.done == 16 and sc.reason == "cancelled"
+        # Block 0's first chunk is merged; the complete block 1 is not.
+        first_chunk = MonteCarloEvaluator(db, seed=5).rank_counts(16, seed=0)
+        np.testing.assert_array_equal(sc.counts, first_chunk.counts)
+        # Nothing is cached: a serial run stops at block 0, and a
+        # partial block is not addressable.
+        assert store.coverage(128, limit) == 0
+        assert store.nbytes == 0
+        rerun, covered = store.counts_for(
+            MonteCarloEvaluator(db, seed=5), 128, limit
+        )
+        assert covered == 0 and rerun.done == 128
+        reference = fresh_counts(
+            lambda: MonteCarloEvaluator(db, seed=5), 128, limit, 64
+        )
+        np.testing.assert_array_equal(rerun.counts, reference)
+
+
 @pytest.mark.chaos
 class TestCacheChaos:
     def test_faulty_shard_retry_merges_bit_identical(self):
         """A fault during a top-up draw must not corrupt merged counts.
 
         One record's distribution raises exactly once, inside the
-        extension draw of a warm store. The parallel shard retry redraws
+        extension draw of a warm store. The block pool's retry redraws
         the same seed stream, so the merged counts must equal the
         counts from an identical database that never faults.
         """
@@ -529,10 +602,14 @@ class TestCacheChaos:
             )
             records = [UncertainRecord(db[0].record_id, faulty), *db[1:]]
             store = RankCountStore(block=block)
-            sampler = ParallelSampler(records, seed=5, workers=2)
-            store.counts_for(sampler, 100, len(records))
+            sampler = MonteCarloEvaluator(records, seed=5)
+            pool = BlockPool(2)
+            store.counts_for(sampler, 100, len(records), pool=pool)
             warm_calls = schedule.calls_seen
-            sc, covered = store.counts_for(sampler, 230, len(records))
+            sc, covered = store.counts_for(
+                sampler, 230, len(records), pool=pool
+            )
+            pool.close()
             assert covered == 64
             assert sc.done == 230
             return sc.counts, warm_calls
@@ -540,7 +617,7 @@ class TestCacheChaos:
         clean, warm_calls = run(FaultSchedule(calls=()))
         # Fire on the first sample call of the top-up draw (the warm
         # pass makes exactly ``warm_calls`` calls in both runs), with
-        # limit=1 so the shard retry then succeeds.
+        # limit=1 so the block retry then succeeds.
         schedule = FaultSchedule(calls={warm_calls}, limit=1)
         faulted, _ = run(schedule)
         assert schedule.faults_fired == 1

@@ -11,12 +11,13 @@ from repro.core.chaos import (
     FaultSchedule,
     FaultyDistribution,
     FaultyOracle,
-    crashing_factory,
+    crashing_evaluator,
 )
+from repro.core.cache import RankCountStore
 from repro.core.distributions import UniformScore
 from repro.core.errors import EvaluationError, InjectedFault
 from repro.core.montecarlo import MonteCarloEvaluator
-from repro.core.parallel import ParallelSampler
+from repro.core.parallel import BlockPool
 
 pytestmark = pytest.mark.chaos
 
@@ -166,34 +167,36 @@ class TestFaultsThroughEstimators:
         with pytest.raises(EvaluationError, match="non-finite"):
             evaluator.rank_counts(50, seed=1)
 
+    @staticmethod
+    def _four_blocks(sampler):
+        """400 samples as four 100-sample blocks on a two-thread pool."""
+        pool = BlockPool(2)
+        try:
+            counts, _ = RankCountStore(block=100).counts_for(
+                sampler, 400, 4, pool=pool
+            )
+        finally:
+            pool.close()
+        return counts
+
     def test_shard_crash_retry_is_bit_identical(self, db):
-        clean = ParallelSampler(db, seed=5, workers=2)
-        expected = clean.rank_counts(400, seed=2).counts
+        expected = self._four_blocks(MonteCarloEvaluator(db, seed=5))
 
         injector = FaultInjector(seed=3)
         schedule = injector.schedule(calls={0}, limit=1)
-        crashing = ParallelSampler(
-            db,
-            seed=5,
-            workers=2,
-            factory=crashing_factory(
-                lambda s: MonteCarloEvaluator(db, seed=s), schedule
-            ),
+        crashing = crashing_evaluator(
+            MonteCarloEvaluator(db, seed=5), schedule
         )
-        observed = crashing.rank_counts(400, seed=2).counts
+        observed = self._four_blocks(crashing)
         assert schedule.faults_fired == 1
-        np.testing.assert_array_equal(observed, expected)
+        assert observed.done == 400
+        np.testing.assert_array_equal(observed.counts, expected.counts)
 
     def test_double_crash_surfaces_evaluation_error(self, db):
         injector = FaultInjector(seed=3)
         schedule = injector.schedule(every=1)  # every call faults
-        crashing = ParallelSampler(
-            db,
-            seed=5,
-            workers=2,
-            factory=crashing_factory(
-                lambda s: MonteCarloEvaluator(db, seed=s), schedule
-            ),
+        crashing = crashing_evaluator(
+            MonteCarloEvaluator(db, seed=5), schedule
         )
         with pytest.raises(EvaluationError, match="failed twice"):
-            crashing.rank_counts(400, seed=2)
+            self._four_blocks(crashing)

@@ -1,6 +1,6 @@
 """Degradation-ladder and robustness acceptance tests.
 
-The PR-level acceptance criteria live here: under injected shard
+The acceptance criteria live here: under injected sample-block
 crashes and flaky oracles, a budgeted :class:`RankingEngine` query must
 return a partial-or-degraded :class:`QueryResult` — never an unhandled
 exception — and rerunning with the same seeds must be bit-identical for

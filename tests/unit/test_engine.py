@@ -291,8 +291,8 @@ class TestReproducibility:
 
 
 class TestWorkersKnob:
-    """`workers=` routes sampling through the sharded parallel backend
-    without changing any answer."""
+    """`workers=` spreads sample blocks and MCMC chains over threads
+    without changing any answer; `None` (the default) means 1."""
 
     @staticmethod
     def _rank_answers(engine):
@@ -348,7 +348,7 @@ class TestWorkersKnob:
                 return out
 
         baseline = run(1)
-        for workers in (2, 4):
+        for workers in (None, 2, 4):
             assert run(workers) == baseline, f"workers={workers}"
 
     def test_workers_reported_in_plan(self, paper_db):
@@ -356,7 +356,7 @@ class TestWorkersKnob:
         assert engine.explain("utop_rank", 2)["workers"] == 2
         assert RankingEngine(paper_db, seed=0).explain(
             "utop_rank", 2
-        )["workers"] is None
+        )["workers"] == 1
 
     def test_invalid_workers_rejected(self, paper_db):
         with pytest.raises(QueryError):

@@ -1,24 +1,36 @@
-"""Unit tests for deterministic sharded sampling (`ParallelSampler`).
+"""Unit tests for the block pool (`BlockPool`) and worker resolution.
 
-The load-bearing property is worker-count invariance: for a fixed
-(seed, shards) pair every merged result must be bit-identical whether
-the shards run on one thread or eight. Accuracy itself is inherited
-from `MonteCarloEvaluator` and covered by its own tests; here we pin
-the sharding, merging, and knob-validation layer.
+The load-bearing property is worker-count invariance: the rank-count
+store splits every request into fixed sample blocks, block ``i`` is
+always drawn with seed ``i``, and the pool hands results back in block
+order, so every merged result must be bit-identical whether the blocks
+run on one thread or five. Accuracy itself is inherited from
+`MonteCarloEvaluator` and covered by its own tests; here we pin the
+pool (ordering, retry, context propagation, lifecycle), the block
+layout as the store draws it, and knob validation.
 """
 
 import logging
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_mod
-from repro.core.errors import QueryError
+from repro.core.cache import RankCountStore
+from repro.core.engine import RankingEngine
+from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator
-from repro.core.montecarlo import select_top_rank_candidates
-from repro.core.parallel import DEFAULT_SHARDS, ParallelSampler, resolve_workers
-from repro.core.records import certain, uniform
+from repro.core.metrics import MetricsRegistry, use_registry
+from repro.core.montecarlo import (
+    MonteCarloEvaluator,
+    select_top_rank_candidates,
+)
+from repro.core.parallel import BlockPool, resolve_workers
+from repro.core.trace import Span, activate
+
+BLOCK = 256
 
 
 @pytest.fixture
@@ -26,8 +38,17 @@ def db(paper_db):
     return paper_db
 
 
-def samplers(db, worker_counts=(1, 2, 5), **kwargs):
-    return [ParallelSampler(db, seed=42, workers=w, **kwargs) for w in worker_counts]
+def block_counts(db, samples, workers, max_rank=None, block=BLOCK):
+    """Rank counts for ``samples`` draws, blocks run on a ``workers`` pool."""
+    limit = len(db) if max_rank is None else max_rank
+    pool = BlockPool(workers)
+    try:
+        sc, _ = RankCountStore(block=block).counts_for(
+            MonteCarloEvaluator(db, seed=42), samples, limit, pool=pool
+        )
+    finally:
+        pool.close()
+    return sc
 
 
 class TestResolveWorkers:
@@ -87,85 +108,178 @@ class TestResolveWorkersEnvironment:
         assert len(warnings) == 1
 
 
-class TestShardSizes:
-    def test_even_split(self, db):
-        sampler = ParallelSampler(db, workers=1)
-        assert sampler.shard_sizes(800) == [100] * DEFAULT_SHARDS
+class TestBlockPool:
+    def test_results_come_back_in_block_order(self):
+        blocks = [(i, 10 * i) for i in range(8)]
+        pool = BlockPool(4)
+        try:
+            assert pool.map(lambda b, s: (b, s), blocks) == blocks
+        finally:
+            pool.close()
 
-    def test_remainder_goes_to_leading_shards(self, db):
-        sampler = ParallelSampler(db, workers=1, shards=3)
-        assert sampler.shard_sizes(11) == [4, 4, 3]
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_block_is_retried_once(self, workers):
+        calls = []
 
-    def test_budget_below_shard_count(self, db):
-        sampler = ParallelSampler(db, workers=1, shards=8)
-        sizes = sampler.shard_sizes(3)
-        assert sum(sizes) == 3 and sizes[3:] == [0] * 5
+        def flaky(block, samples):
+            calls.append(block)
+            if block == 2 and calls.count(2) == 1:
+                raise RuntimeError("transient")
+            return block
 
-    def test_zero_budget_rejected(self, db):
-        sampler = ParallelSampler(db, workers=1)
-        with pytest.raises(QueryError, match="at least one sample"):
-            sampler.shard_sizes(0)
+        registry = MetricsRegistry()
+        pool = BlockPool(workers)
+        try:
+            with use_registry(registry):
+                out = pool.map(flaky, [(i, 1) for i in range(4)])
+        finally:
+            pool.close()
+        assert out == [0, 1, 2, 3]
+        assert calls.count(2) == 2
+        assert registry.counter_value("block_retries_total") == 1.0
 
-    def test_invalid_shards_rejected(self, db):
-        with pytest.raises(QueryError, match="shards"):
-            ParallelSampler(db, shards=0)
+    def test_second_failure_surfaces_evaluation_error(self):
+        def broken(block, samples):
+            raise RuntimeError("persistent")
+
+        with pytest.raises(EvaluationError, match="block 0 failed twice"):
+            BlockPool(1).map(broken, [(0, 1)])
+
+    def test_query_errors_are_not_retried(self):
+        calls = []
+
+        def invalid(block, samples):
+            calls.append(block)
+            raise QueryError("bad argument")
+
+        with pytest.raises(QueryError):
+            BlockPool(1).map(invalid, [(0, 1)])
+        assert calls == [0]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_last_keeps_the_in_order_prefix(self, workers):
+        pool = BlockPool(workers)
+        try:
+            out = pool.map(
+                lambda b, s: b, [(i, 1) for i in range(6)], last=lambda r: r == 2
+            )
+        finally:
+            pool.close()
+        assert out == [0, 1, 2]
+
+    def test_each_block_gets_a_span_under_the_caller(self):
+        root = Span("sample")
+        pool = BlockPool(2)
+        try:
+            with activate(root):
+                pool.map(lambda b, s: None, [(0, 5), (1, 7)])
+        finally:
+            pool.close()
+        root.end()
+        children = root.to_dict()["children"]
+        assert sorted(
+            (c["name"], c["attributes"]["block"], c["attributes"]["samples"])
+            for c in children
+        ) == [("block", 0, 5), ("block", 1, 7)]
+
+
+    def test_stress_more_workers_than_cores(self, db):
+        # Blocks share the evaluator, the metrics registry and the span
+        # tree; a lost update in any of them breaks one of the totals.
+        workers = 4 * (os.cpu_count() or 1)
+        registry = MetricsRegistry()
+        root = Span("sample")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry(registry), activate(root):
+                sc = block_counts(db, 40 * 64, workers, block=64)
+        finally:
+            sys.setswitchinterval(previous)
+        root.end()
+        assert sc.done == 40 * 64
+        assert registry.counter_value("samples_drawn_total") == 40 * 64
+        assert len(root.to_dict()["children"]) == 40
+        serial = block_counts(db, 40 * 64, 1, block=64)
+        np.testing.assert_array_equal(sc.counts, serial.counts)
 
 
 class TestWorkerCountInvariance:
-    """Identical results for any worker count, given fixed shards."""
+    """Identical results for any worker count, given the block layout."""
 
     def test_sample_scores(self, db):
-        drawn = [s.sample_scores(1_000, seed=7) for s in samplers(db)]
+        evaluator = MonteCarloEvaluator(db, seed=42)
+        blocks = [(i, 250) for i in range(4)]
+        drawn = []
+        for workers in (1, 2, 5):
+            pool = BlockPool(workers)
+            parts = pool.map(
+                lambda b, s: evaluator.sample_scores(s, seed=b), blocks
+            )
+            pool.close()
+            drawn.append(np.vstack(parts))
         assert np.array_equal(drawn[0], drawn[1])
         assert np.array_equal(drawn[0], drawn[2])
 
     def test_rank_count_matrix(self, db):
-        counts = [s.rank_counts(2_000, seed=3).counts for s in samplers(db)]
+        counts = [block_counts(db, 2_000, w).counts for w in (1, 2, 5)]
         assert np.array_equal(counts[0], counts[1])
         assert np.array_equal(counts[0], counts[2])
         assert counts[0].sum() == pytest.approx(2_000 * len(db))
 
     def test_empirical_distributions(self, db):
-        tables = [
-            s.empirical_top_frequencies(2, 2_000, seed=1)
-            for s in samplers(db)
-        ]
-        assert tables[0] == tables[1] == tables[2]
-        sets = [
-            s.empirical_top_frequencies(2, 2_000, target="set", seed=1)
-            for s in samplers(db)
-        ]
-        assert sets[0] == sets[1] == sets[2]
+        # The Monte-Carlo TOP-k rung draws serially at every width.
+        def answers(kind, workers):
+            with RankingEngine(
+                db, seed=42, workers=workers, samples=2_000
+            ) as engine:
+                result = getattr(engine, kind)(2, l=3, method="montecarlo")
+            return result.answers
+
+        for kind in ("utop_prefix", "utop_set"):
+            tables = [answers(kind, w) for w in (1, 2, 5)]
+            assert tables[0] == tables[1] == tables[2]
 
     def test_per_call_seed_isolation(self, db):
-        sampler = ParallelSampler(db, seed=42, workers=2)
-        first = sampler.sample_scores(500, seed=9)
-        sampler.rank_counts(1_000, seed=2)  # interleaved other call
-        again = sampler.sample_scores(500, seed=9)
+        evaluator = MonteCarloEvaluator(db, seed=42)
+        first = evaluator.sample_scores(500, seed=9)
+        pool = BlockPool(2)
+        pool.map(  # interleaved draws of other blocks on other threads
+            lambda b, s: evaluator.rank_counts(s, seed=b),
+            [(0, 1_000), (1, 1_000)],
+        )
+        pool.close()
+        again = evaluator.sample_scores(500, seed=9)
         assert np.array_equal(first, again)
-        different = sampler.sample_scores(500, seed=10)
+        different = evaluator.sample_scores(500, seed=10)
         assert not np.array_equal(first, different)
+
+    def test_blocks_draw_distinct_streams(self, db):
+        evaluator = MonteCarloEvaluator(db, seed=42)
+        zero = evaluator.rank_counts(BLOCK, seed=0).counts
+        one = evaluator.rank_counts(BLOCK, seed=1).counts
+        assert not np.array_equal(zero, one)
 
 
 class TestAccuracy:
     """Merged estimates converge to the exact answers."""
 
     def test_rank_probability_matrix(self, db):
-        sampler = ParallelSampler(db, seed=0, workers=2)
-        estimate = sampler.rank_counts(60_000).counts / 60_000
+        estimate = block_counts(db, 60_000, workers=2).counts / 60_000
         exact = ExactEvaluator(db).rank_probability_matrix()
         assert np.allclose(estimate, exact, atol=0.02)
 
     def test_prefix_probability(self, db):
-        sampler = ParallelSampler(db, seed=0, workers=2)
         # Paper's worked example: P(t5, t1, t2 prefix) = 7/16.
-        freq = sampler.empirical_top_frequencies(3, 60_000)
-        assert freq[("t5", "t1", "t2")] == pytest.approx(0.4375, abs=0.02)
+        with RankingEngine(db, seed=0, workers=2, samples=60_000) as engine:
+            result = engine.utop_prefix(3, l=1, method="montecarlo")
+        top = result.answers[0]
+        assert tuple(top.prefix) == ("t5", "t1", "t2")
+        assert top.probability == pytest.approx(0.4375, abs=0.02)
 
     def test_top_rank_candidates_match_serial_selection(self, db):
-        sampler = ParallelSampler(db, seed=0, workers=3)
-        matrix = sampler.rank_counts(40_000, max_rank=2).counts / 40_000
-        ranked = select_top_rank_candidates(db, matrix, 1, 2, 3)
+        matrix = block_counts(db, 40_000, workers=3, max_rank=2).counts
+        ranked = select_top_rank_candidates(db, matrix / 40_000, 1, 2, 3)
         assert ranked[0][0].record_id == "t5"
         assert ranked[0][1] == pytest.approx(1.0, abs=0.02)
         probs = [p for _rec, p in ranked]
@@ -174,43 +288,17 @@ class TestAccuracy:
 
 class TestLifecycle:
     def test_close_releases_pool_and_sampler_stays_usable(self, db):
-        sampler = ParallelSampler(db, seed=42, workers=2)
-        before = sampler.rank_counts(500, seed=9).counts
-        sampler.close()
+        engine = RankingEngine(db, seed=42, workers=2)
+        engine.utop_rank(1, 2, method="montecarlo", samples=9_000)
+        assert engine._pool._pool is not None
+        engine.close()
+        assert engine._pool._pool is None
         # Closed is not terminal: the pool is lazily re-created.
-        again = sampler.rank_counts(500, seed=9).counts
-        assert np.array_equal(before, again)
-        sampler.close()
-        sampler.close()  # idempotent
-
-
-class TestFactoryHook:
-    def test_factory_receives_distinct_child_seeds(self):
-        db = [uniform("a", 0.0, 1.0), certain("b", 0.5)]
-        seeds = []
-
-        def spy(seed):
-            seeds.append(seed)
-            from repro.core.montecarlo import MonteCarloEvaluator
-
-            return MonteCarloEvaluator(db, seed=seed)
-
-        ParallelSampler(db, seed=7, workers=1, factory=spy)
-        assert len(seeds) == DEFAULT_SHARDS
-        assert len(set(seeds)) == DEFAULT_SHARDS
-
-    def test_child_seeds_stable_across_constructions(self):
-        db = [uniform("a", 0.0, 1.0)]
-        captured = []
-
-        def spy(seed):
-            captured.append(seed)
-            from repro.core.montecarlo import MonteCarloEvaluator
-
-            return MonteCarloEvaluator(db, seed=seed)
-
-        ParallelSampler(db, seed=7, workers=1, factory=spy)
-        first = list(captured)
-        captured.clear()
-        ParallelSampler(db, seed=7, workers=4, factory=spy)
-        assert captured == first
+        again = engine.utop_rank(1, 3, method="montecarlo", samples=9_000)
+        assert engine._pool._pool is not None
+        engine.close()
+        engine.close()  # idempotent
+        fresh = RankingEngine(db, seed=42, workers=2)
+        assert fresh.utop_rank(
+            1, 3, method="montecarlo", samples=9_000
+        ).answers == again.answers

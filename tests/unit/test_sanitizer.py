@@ -60,6 +60,19 @@ class TestHelpers:
             "threshold_topk",
         }
 
+    def test_workload_draws_on_the_block_pool(self):
+        # At the sanitizer's sample counts most rank-count requests fit
+        # in one block; one query must span several so --workers draws
+        # blocks concurrently.
+        from repro.core.cache import SAMPLE_BLOCK
+
+        assert any(
+            q.kind == "utop_rank"
+            and q.method == "montecarlo"
+            and (q.samples or 0) > 2 * SAMPLE_BLOCK
+            for q in build_workload()
+        )
+
     def test_canonical_result_strips_volatile_fields(self):
         data = canonical_result(make_result())
         assert "elapsed" not in data
@@ -96,7 +109,7 @@ class TestHelpers:
                 {"name": "prune", "children": []},
                 {
                     "name": "sample",
-                    "children": [{"name": "shard", "children": []}],
+                    "children": [{"name": "block", "children": []}],
                 },
             ],
         }
@@ -207,8 +220,14 @@ class TestSanitizerSmoke:
         assert report.ok, report.render()
         # baseline + 3 perturbed repeats, each over 2 worker settings
         assert report.runs == 8
-        assert report.comparisons > 0
         assert report.jitter_calls > 0
+        # every cell's cold and warm pass (minus the baseline itself),
+        # plus one subprocess replay under another PYTHONHASHSEED
+        queries = len(build_workload())
+        assert report.hash_seed_comparisons == queries
+        assert report.comparisons == (2 * 8 - 1) * queries + queries
+        assert report.to_dict()["hash_seed_comparisons"] == queries
+        assert "PYTHONHASHSEED" in report.render()
 
     def test_cli_smoke_exits_zero(self, capsys):
         code = sanitize_main(

@@ -137,7 +137,7 @@ class TestActiveSpanHelpers:
         def worker():
             # Worker threads start with a fresh context...
             seen["before"] = current_span()
-            with span_under(parent, "shard", shard=0) as child:
+            with span_under(parent, "block", block=0) as child:
                 seen["inside"] = current_span()
                 seen["child"] = child
 
@@ -150,7 +150,7 @@ class TestActiveSpanHelpers:
         assert seen["child"].ended
 
     def test_span_under_none_parent_is_noop(self):
-        with span_under(None, "shard") as child:
+        with span_under(None, "block") as child:
             assert child is None
 
 
