@@ -25,7 +25,8 @@ semantics as a limit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+import threading
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +36,13 @@ from .piecewise import PiecewisePolynomial
 from .records import UncertainRecord
 
 __all__ = ["supports_exact", "ExactEvaluator"]
+
+#: Most entries each :class:`ExactEvaluator` memo keeps. A full memo
+#: stops inserting: answers are unchanged, later states just recompute.
+#: The cap bounds a cached evaluator's footprint, which the computation
+#: cache accounts at a flat estimate. A cold MCMC query over ~8 records
+#: creates ~40 product entries.
+MEMO_ENTRIES = 512
 
 
 def supports_exact(records: Iterable[UncertainRecord]) -> bool:
@@ -125,6 +133,16 @@ class ExactEvaluator:
                 pdf = rec.score.pdf_piecewise()
                 self._pdf[rec.record_id] = pdf
                 self._cdf[rec.record_id] = pdf.antiderivative()
+        # MCMC chains query one evaluator from pool threads, so both
+        # memos sit behind one lock. Values are built outside it: a
+        # racing duplicate build computes the same function, so it is
+        # wasted work, not a different answer.
+        self._memo_lock = threading.Lock()
+        # Tuple of record ids multiplied so far (database order) -> the
+        # running CDF product after them; see _complement_product.
+        self._products: Dict[Tuple[str, ...], PiecewisePolynomial] = {}
+        # Record id -> survival function ``1.0 - F``.
+        self._survival: Dict[str, PiecewisePolynomial] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -133,6 +151,44 @@ class ExactEvaluator:
     def _point(self, rec: UncertainRecord) -> float:
         """Effective (tie-perturbed) value of a deterministic record."""
         return self._point_value.get(rec.record_id, rec.lower)
+
+    def _complement_product(self, ids: set) -> PiecewisePolynomial:
+        """``prod F_j`` over the records not in ``ids``, in database order.
+
+        Each partial product is memoised under the tuple of record ids
+        multiplied so far, so states sharing a complement prefix share
+        its products. Every partial is the same floating-point
+        computation, ``((1 * F_a) * F_b) * ...``, a cold call makes, so a
+        memoised answer is bit-identical to a fresh one.
+        """
+        key: Tuple[str, ...] = ()
+        h = PiecewisePolynomial.constant(1.0)
+        for rec in self.records:
+            rid = rec.record_id
+            if rid in ids:
+                continue
+            key = key + (rid,)
+            with self._memo_lock:
+                cached = self._products.get(key)
+            if cached is None:
+                cached = h * self._cdf[rid]
+                with self._memo_lock:
+                    if len(self._products) < MEMO_ENTRIES:
+                        self._products[key] = cached
+            h = cached
+        return h
+
+    def _survival_of(self, rec: UncertainRecord) -> PiecewisePolynomial:
+        """The memoised survival function ``1.0 - F`` of ``rec``."""
+        rid = rec.record_id
+        with self._memo_lock:
+            surv = self._survival.get(rid)
+        if surv is None:
+            surv = 1.0 - self._cdf[rid]
+            with self._memo_lock:
+                if len(self._survival) < MEMO_ENTRIES:
+                    self._survival[rid] = surv
+        return surv
 
     def _resolve(self, rec_or_id) -> UncertainRecord:
         if isinstance(rec_or_id, UncertainRecord):
@@ -221,10 +277,7 @@ class ExactEvaluator:
             raise QueryError("prefix contains duplicate records")
         if not ordered:
             return 1.0
-        h = PiecewisePolynomial.constant(1.0)
-        rest = [r for r in self.records if r.record_id not in ids]
-        for other in rest:
-            h = h * self._cdf[other.record_id]
+        h = self._complement_product(ids)
         for rec in reversed(ordered):
             if h.breakpoints.size == 0:
                 h = self._cdf[rec.record_id] * h.right
@@ -253,10 +306,7 @@ class ExactEvaluator:
         # frozenset's order follows the hash salt, and the products and
         # the sum below must not.
         members = [r for r in self.records if r.record_id in ids]
-        rest = [r for r in self.records if r.record_id not in ids]
-        outside = PiecewisePolynomial.constant(1.0)
-        for other in rest:
-            outside = outside * self._cdf[other.record_id]
+        outside = self._complement_product(ids)
 
         total = 0.0
         for rec in members:
@@ -264,8 +314,8 @@ class ExactEvaluator:
             for other in members:
                 if other is rec:
                     continue
-                survival_product = survival_product * (
-                    1.0 - self._cdf[other.record_id]
+                survival_product = survival_product * self._survival_of(
+                    other
                 )
             if rec.is_deterministic:
                 value = self._point(rec)

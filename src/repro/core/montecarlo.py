@@ -49,7 +49,43 @@ from .numeric import clamp_probability
 from .records import UncertainRecord
 from .trace import accumulate
 
-__all__ = ["MonteCarloEvaluator", "compile_plan", "select_top_rank_candidates"]
+__all__ = [
+    "MonteCarloEvaluator",
+    "compile_plan",
+    "rank_order",
+    "select_top_rank_candidates",
+]
+
+#: Rows at most this wide are ranked with one stable sort. Wider rows
+#: take the unstable sort plus a tie check on the ranked head, which is
+#: cheaper there; at this width and below both sorts cost about the
+#: same, so the check would be pure overhead.
+STABLE_SORT_WIDTH = 16
+
+
+def rank_order(scores: np.ndarray, limit: int) -> np.ndarray:
+    """Record indices of the ``limit`` best scores in each row, best first.
+
+    Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :limit]``:
+    equal scores rank by column (database) index, lower first. Rows wider
+    than :data:`STABLE_SORT_WIDTH` are sorted unstably; the unstable
+    order can differ from the stable one only inside a run of equal
+    values, and only such a run that reaches into the first ``limit``
+    positions changes the result. Those rows are the ones whose first
+    ``min(limit + 1, n)`` sorted values are not strictly increasing
+    (an equal adjacent pair, or a NaN), and only they are re-sorted
+    stably.
+    """
+    neg = -scores
+    n = neg.shape[1]
+    if n <= STABLE_SORT_WIDTH:
+        return np.argsort(neg, axis=1, kind="stable")[:, :limit]
+    order = np.argsort(neg, axis=1)
+    head = np.take_along_axis(neg, order[:, : min(limit + 1, n)], axis=1)
+    tied = ~np.all(head[:, 1:] > head[:, :-1], axis=1)
+    if tied.any():
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    return order[:, :limit]
 
 
 def compile_plan(records: Sequence[UncertainRecord]) -> SamplingPlan:
@@ -251,7 +287,7 @@ class MonteCarloEvaluator:
         from the PPO's ranking distribution.
         """
         scores = self.sample_scores(samples, seed=seed)
-        return np.argsort(-scores, axis=1, kind="stable")
+        return rank_order(scores, scores.shape[1])
 
     def _resolve(self, rec_or_id: Union[UncertainRecord, str]) -> int:
         rid = (
@@ -285,8 +321,8 @@ class MonteCarloEvaluator:
         order; a single batch of samples is shared across all records,
         which is how the UTop-Rank evaluator amortizes sampling cost.
         Large requests are processed in chunks to bound peak memory, and
-        each chunk's hits land in the count matrix with one ``np.add.at``
-        scatter over ``(record, rank)`` pairs.
+        each chunk's hits land in the count matrix with one
+        ``np.bincount`` over the flattened ``(record, rank)`` cells.
         """
         counts = self.rank_counts(samples, max_rank=max_rank, seed=seed)
         return counts.counts / samples
@@ -307,6 +343,12 @@ class MonteCarloEvaluator:
         the stop reason — never an exception. For a fixed ``seed`` the
         draws per chunk are identical whether or not a budget is
         supplied, so a clipped run is a strict prefix of the full run.
+
+        Each chunk is ranked by :func:`rank_order` (only the top
+        ``max_rank`` positions are ordered exactly) and counted with one
+        ``np.bincount`` over ``record * limit + rank``. The integer
+        counts add exactly into the float matrix, so the result equals
+        one ``+1.0`` per ``(record, rank)`` hit.
 
         Raises :class:`~repro.core.errors.EvaluationError` when a drawn
         score is NaN/inf — rankings over non-finite scores are
@@ -333,10 +375,10 @@ class MonteCarloEvaluator:
                     "sampled scores contain non-finite values; the score "
                     "model is corrupt (see core.validation.validate_records)"
                 )
-            rankings = np.argsort(-scores, axis=1, kind="stable")
-            np.add.at(
-                counts, (rankings[:, :limit], rank_cols[None, :]), 1.0
-            )
+            flat = rank_order(scores, limit) * limit + rank_cols
+            counts += np.bincount(
+                flat.ravel(), minlength=n * limit
+            ).reshape(n, limit)
             done += batch
         if done > 0:
             metrics.inc("samples_drawn_total", float(done))
@@ -353,13 +395,20 @@ class MonteCarloEvaluator:
         samples: int,
         seed: Optional[int] = None,
     ) -> float:
-        """Estimate ``Pr(t at rank in [i, j])`` (Eq. 7)."""
+        """Estimate ``Pr(t at rank in [i, j])`` (Eq. 7).
+
+        Ties follow the :func:`rank_order` contract: a record with an
+        equal draw and a lower database index ranks better, so on the
+        same draws this agrees with :meth:`rank_counts`.
+        """
         if i < 1 or j < i:
             raise QueryError(f"invalid rank range [{i}, {j}]")
         idx = self._resolve(record)
         scores = self.sample_scores(samples, seed=seed)
-        target = scores[:, idx]
-        better = (scores > target[:, None]).sum(axis=1)
+        target = scores[:, idx : idx + 1]
+        better = (scores > target).sum(axis=1) + (
+            scores[:, :idx] == target
+        ).sum(axis=1)
         hits = (better >= i - 1) & (better <= j - 1)
         return clamp_probability(float(hits.mean()))
 

@@ -52,6 +52,10 @@ def _trim(coeffs: np.ndarray, width: float = 1.0) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size == 0:
         return np.zeros(1)
+    if coeffs.size == 1:
+        # Constant segment: nothing to trim. The exact test matches the
+        # general path below, which zeroes NaN and -0.0 segments too.
+        return coeffs.copy() if abs(coeffs[0]) > 0.0 else np.zeros(1)
     magnitudes = np.abs(coeffs)
     if not np.any(magnitudes > 0.0):
         return np.zeros(1)

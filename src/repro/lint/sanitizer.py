@@ -40,6 +40,12 @@ the unperturbed serial baseline **byte-for-byte** (canonicalized: the
 wall-clock, cache-delta, and trace fields are stripped — everything
 else, including diagnostics and float bit patterns, must match).
 
+The report also carries ``baseline_digest``, the SHA-256 of the
+baseline cell's canonical answers. Two checkouts whose sanitizer runs
+(same options) print the same digest answer the workload
+byte-identically, so one diff of two reports compares a change with
+its parent.
+
 On divergence the report names the query, the first differing JSON
 path, and — because every engine runs with tracing on — the deepest
 span at which the two executions' span trees structurally disagree,
@@ -53,6 +59,7 @@ ladder.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -76,6 +83,7 @@ __all__ = [
     "Divergence",
     "SanitizerReport",
     "SpanJitter",
+    "answer_digest",
     "build_mutation_scenario",
     "build_records",
     "build_workload",
@@ -301,6 +309,15 @@ def encode_canonical(data: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+def answer_digest(encoded: Sequence[bytes]) -> str:
+    """SHA-256 over canonical answers, one newline-terminated line each."""
+    digest = hashlib.sha256()
+    for line in encoded:
+        digest.update(line)
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def _diff_path(a: Any, b: Any, path: str = "$") -> Optional[str]:
     """First JSON path at which two canonical values differ."""
     if type(a) is not type(b):
@@ -400,6 +417,7 @@ class SanitizerReport:
     comparisons: int = 0
     hash_seed_comparisons: int = 0
     jitter_calls: int = 0
+    baseline_digest: str = ""
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -422,6 +440,7 @@ class SanitizerReport:
             "comparisons": self.comparisons,
             "hash_seed_comparisons": self.hash_seed_comparisons,
             "jitter_calls": self.jitter_calls,
+            "baseline_digest": self.baseline_digest,
             "divergences": [
                 {
                     "label": d.label,
@@ -444,7 +463,8 @@ class SanitizerReport:
             f"planner={'/'.join(self.planner_grid)}, "
             f"mutate={'/'.join(self.mutate_grid)}, "
             f"repeats={self.repeats}, "
-            f"{self.jitter_calls} jitter sleep(s) injected"
+            f"{self.jitter_calls} jitter sleep(s) injected",
+            f"baseline answers sha256: {self.baseline_digest}",
         ]
         if self.ok:
             lines.append("all results byte-identical to the baseline")
@@ -632,6 +652,7 @@ def run_sanitizer(
         if jitter is not None:
             report.jitter_calls += jitter.calls
     assert baseline is not None
+    report.baseline_digest = answer_digest(baseline.encoded)
     replay = _replay_with_other_hash_seed(
         records, k, cell(grid[0], planners[0], mutates[0])
     )

@@ -1,10 +1,14 @@
 """Unit tests for the exact piecewise-polynomial probability engine."""
 
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import exact as exact_module
 from repro.core.distributions import TruncatedGaussianScore
 from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator, supports_exact
@@ -255,6 +259,115 @@ class TestDeterministicTies:
             dtype=float,
         )
         assert np.array_equal(matrix, expected)
+
+
+def _memo_db():
+    """Overlapping intervals plus tied point scores (a perturbed tie)."""
+    return [
+        uniform("a", 0.0, 4.0),
+        certain("b", 2.0),
+        uniform("c", 1.0, 3.0),
+        certain("d", 2.0),
+        uniform("e", 1.5, 5.0),
+        uniform("f", 0.5, 2.5),
+        certain("g", 3.0),
+    ]
+
+
+def _states(records):
+    """Every 2-prefix and 3-set, as ``(method name, key)`` pairs."""
+    ids = [rec.record_id for rec in records]
+    prefixes = [
+        ("prefix_probability", list(p)) for p in itertools.permutations(ids, 2)
+    ]
+    sets = [
+        ("top_set_probability", list(c)) for c in itertools.combinations(ids, 3)
+    ]
+    return prefixes + sets
+
+
+def _fresh_values(records):
+    """Each state answered by its own cold evaluator."""
+    return [
+        getattr(ExactEvaluator(records), method)(key)
+        for method, key in _states(records)
+    ]
+
+
+class TestOracleMemo:
+    """The CDF-product and survival memos never change an answer bit."""
+
+    def test_warm_memo_in_another_order_matches_fresh(self):
+        records = _memo_db()
+        states = _states(records)
+        fresh = _fresh_values(records)
+        warm = ExactEvaluator(records)
+        order = np.random.default_rng(4).permutation(len(states))
+        got = {}
+        for i in order:
+            method, key = states[i]
+            if method == "top_set_probability":
+                key = list(reversed(key))
+            got[i] = getattr(warm, method)(key)
+        assert [got[i] for i in range(len(states))] == fresh
+        assert warm._products and warm._survival
+
+    def test_full_memo_stops_growing_and_answers_identically(
+        self, monkeypatch
+    ):
+        records = _memo_db()
+        fresh = _fresh_values(records)
+        monkeypatch.setattr(exact_module, "MEMO_ENTRIES", 5)
+        capped = ExactEvaluator(records)
+        got = [
+            getattr(capped, method)(key) for method, key in _states(records)
+        ]
+        assert len(capped._products) == 5
+        assert len(capped._survival) == 5
+        assert got == fresh
+
+    @pytest.mark.parametrize("cap", [5, exact_module.MEMO_ENTRIES])
+    def test_concurrent_callers_get_the_serial_values(
+        self, monkeypatch, cap
+    ):
+        # More threads than cores and a tiny switch interval, so memo
+        # reads, builds and inserts interleave; a check-then-insert race
+        # would push a small memo past its cap.
+        records = _memo_db()
+        states = _states(records)
+        serial = _fresh_values(records)
+        monkeypatch.setattr(exact_module, "MEMO_ENTRIES", cap)
+        shared = ExactEvaluator(records)
+        workers = 2 * (os.cpu_count() or 2)
+        results = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def hammer(worker):
+            order = np.random.default_rng(worker).permutation(len(states))
+            barrier.wait()
+            out = {}
+            for i in order:
+                method, key = states[i]
+                out[i] = getattr(shared, method)(key)
+            results[worker] = [out[i] for i in range(len(states))]
+
+        threads = [
+            threading.Thread(target=hammer, args=(w,))
+            for w in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * workers
+        assert len(shared._products) <= cap
+        assert len(shared._survival) <= cap
 
 
 class TestPairwiseConsistency:

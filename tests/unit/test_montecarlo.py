@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.distributions import DiscreteScore, UniformScore
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.montecarlo import (
+    STABLE_SORT_WIDTH,
     MonteCarloEvaluator,
+    rank_order,
     select_top_rank_candidates,
 )
-from repro.core.records import certain, uniform
+from repro.core.records import UncertainRecord, certain, uniform
 
 SAMPLES = 60_000
 TOL = 0.02
@@ -81,6 +84,107 @@ class TestRankProbabilities:
         matrix = sampler.rank_probability_matrix(100, max_rank=2)
         with pytest.raises(QueryError):
             select_top_rank_candidates(paper_db, matrix, 1, 2, 0)
+
+
+def _tie_heavy_scores(width):
+    """Seeded score matrices, from tie-free to every row one value."""
+    rng = np.random.default_rng(width)
+    base = rng.normal(size=(300, width))
+    duplicated = base.copy()
+    duplicated[:, 1::2] = base[:, : width // 2]
+    rows_equal = base.copy()
+    rows_equal[::3] = 0.5
+    signed_zeros = rng.choice([0.0, -0.0, 1.0], size=(300, width))
+    signed_zeros[:, 0] = -0.0
+    return {
+        "continuous": base,
+        "rounded": np.round(base, 1),
+        "duplicated-columns": duplicated,
+        "rows-equal": rows_equal,
+        "signed-zeros": signed_zeros,
+    }
+
+
+KERNEL_CASES = [
+    (width, limit, name)
+    for width in (8, 16, 17, 41, 120)
+    for limit in sorted({1, width // 2, width})
+    for name in _tie_heavy_scores(width)
+]
+
+
+class TestRankOrder:
+    """``rank_order`` is the stable full sort's top ``limit`` columns."""
+
+    def test_tested_widths_straddle_the_crossover(self):
+        assert STABLE_SORT_WIDTH == 16
+
+    @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
+    def test_equals_stable_argsort(self, width, limit, name):
+        scores = _tie_heavy_scores(width)[name]
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :limit]
+        got = rank_order(scores, limit)
+        assert got.shape == (scores.shape[0], limit)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
+    def test_rank_counts_equal_add_at_scatter(self, width, limit, name):
+        scores = _tie_heavy_scores(width)[name]
+        sampler = MonteCarloEvaluator(
+            [uniform(f"u{i:03d}", 0.0, 1.0) for i in range(width)]
+        )
+        sampler._draw = lambda rng, batch: scores[:batch]
+        got = sampler.rank_counts(scores.shape[0], max_rank=limit)
+        expected = np.zeros((width, limit))
+        rankings = np.argsort(-scores, axis=1, kind="stable")
+        np.add.at(
+            expected, (rankings[:, :limit], np.arange(limit)[None, :]), 1.0
+        )
+        assert got.counts.dtype == expected.dtype
+        assert np.array_equal(got.counts, expected)
+
+    def test_sample_rankings_are_stable_full_rankings(self):
+        records = [
+            UncertainRecord(f"d{i:02d}", DiscreteScore([1.0, 2.0], [1, 1]))
+            for i in range(24)
+        ]
+        sampler = MonteCarloEvaluator(records, seed=3)
+        rankings = sampler.sample_rankings(500, seed=1)
+        scores = MonteCarloEvaluator(records, seed=3).sample_scores(
+            500, seed=1
+        )
+        assert np.array_equal(
+            rankings, np.argsort(-scores, axis=1, kind="stable")
+        )
+
+
+class TestRankRangeTieBreak:
+    """Tied draws rank by database index, as in ``rank_counts``."""
+
+    @pytest.fixture
+    def tied(self):
+        return [
+            UncertainRecord("a", DiscreteScore([1, 2], [1, 1])),
+            UncertainRecord("b", DiscreteScore([1, 2], [1, 1])),
+            UncertainRecord("c", UniformScore(0, 3)),
+        ]
+
+    def test_agrees_with_rank_counts_on_the_same_draws(self, tied):
+        sampler = MonteCarloEvaluator(tied)
+        samples = 20_000
+        counts = sampler.rank_counts(samples, seed=7).counts
+        for t, rec in enumerate(tied):
+            for r in (1, 2, 3):
+                assert sampler.rank_range_probability(
+                    rec, r, r, samples, seed=7
+                ) == counts[t, r - 1] / samples
+        column = [
+            sampler.rank_range_probability(rec, 1, 1, samples, seed=7)
+            for rec in tied
+        ]
+        assert sum(column) == pytest.approx(1.0, abs=1e-12)
+        # b wins only when it beats a outright: Pr = 1/4 * Pr(c < 2).
+        assert column[1] == pytest.approx(1 / 6, abs=0.01)
 
 
 class TestPrefixEstimators:

@@ -183,3 +183,18 @@ class TestIntrospection:
     def test_degree_trims_negligible_coefficients(self):
         f = PiecewisePolynomial([0.0, 1.0], [[1.0, 1e-20]])
         assert f.degree == 0
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(2.5, 2.5), (-1e-300, -1e-300), (np.inf, np.inf), (-0.0, 0.0),
+         (0.0, 0.0), (np.nan, 0.0)],
+    )
+    def test_constant_segment_trim(self, value, expected):
+        # NaN and -0.0 constant segments become +0.0, as in the
+        # multi-coefficient path; anything else is kept bit for bit.
+        seg = PiecewisePolynomial([0.0, 1.0], [[value]]).coeffs[0]
+        assert seg.shape == (1,)
+        assert seg[0] == expected
+        assert not np.signbit(seg[0]) or expected < 0
+        wide = PiecewisePolynomial([0.0, 1.0], [[value, 0.0]]).coeffs[0]
+        assert np.array_equal(seg, wide[:1])

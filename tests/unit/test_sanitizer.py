@@ -20,6 +20,7 @@ from repro.lint.sanitizer import (
     _deepest_span_divergence,
     _diff_path,
     _Execution,
+    answer_digest,
     build_mutation_scenario,
     build_records,
     build_workload,
@@ -204,6 +205,38 @@ class TestDivergenceDetection:
         assert "query/sample" in text
         assert "utop_prefix" in text
         assert report.to_dict()["ok"] is False
+
+
+class TestBaselineDigest:
+    def test_stable_across_two_runs(self):
+        reports = [
+            run_sanitizer(
+                repeats=1,
+                records=6,
+                samples=200,
+                worker_grid=(1,),
+                mcmc_steps=30,
+                mcmc_chains=2,
+            )
+            for _ in range(2)
+        ]
+        first, second = (r.baseline_digest for r in reports)
+        assert len(first) == 64 and int(first, 16) >= 0
+        assert first == second
+        assert reports[0].to_dict()["baseline_digest"] == first
+        assert f"baseline answers sha256: {first}" in reports[0].render()
+
+    def test_changes_when_one_answer_changes(self):
+        answers = [
+            encode_canonical(canonical_result(make_result(p)))
+            for p in (0.5, 0.25, 0.125)
+        ]
+        changed = list(answers)
+        changed[1] = encode_canonical(canonical_result(make_result(0.75)))
+        assert answer_digest(answers) == answer_digest(list(answers))
+        assert answer_digest(changed) != answer_digest(answers)
+        # Lines are delimited: moving bytes across a boundary changes it.
+        assert answer_digest([b"ab", b"c"]) != answer_digest([b"a", b"bc"])
 
 
 class TestSanitizerSmoke:
