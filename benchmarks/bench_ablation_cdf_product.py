@@ -5,7 +5,8 @@ remaining records into a single CDF product (Eq. 6) instead of
 expanding the space below the prefix. This bench compares, for one
 prefix:
 
-1. exact Eq. 6 (CDF product, piecewise-polynomial integration),
+1. exact Eq. 6 (CDF product, Gauss–Legendre quadrature on the
+   evaluator's node grid),
 2. exact summation over all completions of the prefix (no shortcut),
 3. Monte-Carlo with the CDF-product weights,
 4. Monte-Carlo sequential importance sampling,

@@ -55,8 +55,8 @@ __all__ = [
 #: Per-unit wall-clock priors (seconds per work unit), by ladder stage.
 #: Calibrated empirically: the exact rank DP runs at ~7e-4 s per
 #: ``n^2 * depth`` unit on heavily overlapping continuous densities,
-#: prefix enumeration at ~3e-4 s per ``space * n`` unit (one
-#: ``prefix_probability`` integration per enumerated prefix), MCMC at
+#: prefix enumeration at ~1e-5 s per ``space * n`` unit (one quadrature
+#: ``prefix_probability`` per enumerated prefix; sets ~3e-6), MCMC at
 #: ~3e-5 s per ``chains * steps * n`` unit, and columnar Monte-Carlo at
 #: ~1.5e-8 s per ``samples * n`` unit. Online fitting replaces these
 #: after the first completed observation per (kind, stage).

@@ -5,44 +5,42 @@ Eq. 6 for k-length prefixes) with Monte-Carlo integration, including the
 BASELINE algorithm it uses as ground truth. For the density families the
 paper actually experiments with (uniform intervals and deterministic
 scores), those integrals are *exactly computable*: every density and CDF
-is a piecewise polynomial, and the backward recursion
+is a piecewise polynomial, giving the reproduction a stronger ground
+truth than the paper had for its own accuracy experiments (Fig. 9).
 
-    h_n+1(x) = 1  (or the CDF product of Eq. 6)
-    h_j(x)   = int_{-inf}^{x} f_j(y) * h_j+1(y) dy
-
-stays inside the piecewise-polynomial algebra of
-:mod:`repro.core.piecewise`. This module implements that recursion plus
-exact top-k set probabilities and exact per-rank probabilities (a
-Poisson-binomial dynamic program over piecewise polynomials), giving the
-reproduction a stronger ground truth than the paper had for its own
-accuracy experiments (Fig. 9).
+Prefix (Eq. 6), extension (Eq. 4) and top-k set probabilities use
+Gauss–Legendre quadrature. Between consecutive breakpoints of all
+records every integrand is one polynomial, so enough nodes per segment
+integrate it exactly up to rounding. A prefix runs the backward
+recursion ``h_j(x) = int^x f_j h_j+1``, seeded with the CDF product of
+the records outside it, on the node values; a set ``S`` sums
+``int f_s prod_{S-s} (1 - F) prod_{not S} F`` over its members (the
+generating-function form of Li, Saha and Deshpande). Per-rank
+probabilities (a Poisson-binomial dynamic program) and Eq. 1 stay in
+the piecewise-polynomial algebra of :mod:`repro.core.piecewise`.
 
 Deterministic scores are Dirac masses and are special-cased: identical
 deterministic scores are separated by an infinitesimal perturbation
 ordered by the tie-breaker ``tau``, which realizes the paper's tie
-semantics as a limit.
+semantics as a limit. Each perturbed value is a breakpoint of the node
+grid, where a point score reads the rest of the integrand.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .budget import Budget
 from .errors import EvaluationError, QueryError
-from .piecewise import PiecewisePolynomial
+from .piecewise import PiecewisePolynomial, _polyval_local
 from .records import UncertainRecord
 
 __all__ = ["supports_exact", "ExactEvaluator"]
-
-#: Most entries each :class:`ExactEvaluator` memo keeps. A full memo
-#: stops inserting: answers are unchanged, later states just recompute.
-#: The cap bounds a cached evaluator's footprint, which the computation
-#: cache accounts at a flat estimate. A cold MCMC query over ~8 records
-#: creates ~40 product entries.
-MEMO_ENTRIES = 512
 
 
 def supports_exact(records: Iterable[UncertainRecord]) -> bool:
@@ -87,6 +85,110 @@ def _tie_perturbations(records: Sequence[UncertainRecord]) -> Dict[str, float]:
     return out
 
 
+@lru_cache(maxsize=128)
+def _legendre_rule(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes ``t``, weights ``w`` and integration matrix on ``[-1, 1]``.
+
+    ``integ[i, j] = int_{-1}^{t_i} L_j(t) dt`` for the Lagrange basis
+    ``L_j`` of the ``m`` nodes, so ``integ @ v`` is the running integral
+    of the degree-``m - 1`` interpolant of the node values ``v``. The
+    interpolant's Legendre coefficients come from the discrete
+    orthogonality of Gauss nodes, which is exact at that degree.
+    """
+    t, w = legendre.leggauss(m)
+    basis = legendre.legvander(t, m - 1)  # basis[i, k] = P_k(t_i)
+    scale = (2.0 * np.arange(m) + 1.0) / 2.0
+    project = scale[:, None] * (basis * w[:, None]).T
+    running = legendre.legvander(t, m) @ legendre.legint(
+        np.eye(m), lbnd=-1.0, axis=0
+    )
+    rule = (t, w, running @ project)
+    for array in rule:  # shared by every grid with this m
+        array.setflags(write=False)
+    return rule
+
+
+class _NodeGrid:
+    """Every record's density and CDF at Gauss–Legendre nodes.
+
+    Breakpoints are the union of all records' (point scores at their
+    tie-perturbed values). With ``D`` the largest sum over records of
+    their CDF degree on one segment, every segment gets ``m = D - 1``
+    nodes (at least one). A whole-segment integrand (one density times
+    CDFs, plus one degree per antiderivative of a prefix member) has
+    degree below ``D``, which Gauss integrates exactly. A running
+    integral inside a segment is only read by a higher prefix member
+    whose density is nonzero there, so its integrand has degree at most
+    ``D - 2``, which ``m`` node values determine exactly.
+    ``pdf``/``cdf``/``survival`` are ``(records, segments, m)``,
+    ``cdf_at`` the right-continuous CDFs at the breakpoints. Values come
+    from each record's piece covering the segment, at offsets from its
+    left end, so segments below float resolution still see the right
+    piece.
+    """
+
+    def __init__(self, evaluator: "ExactEvaluator") -> None:
+        cdfs = [evaluator._cdf[rec.record_id] for rec in evaluator.records]
+        pdfs = [evaluator._pdf[rec.record_id] for rec in evaluator.records]
+        self.breakpoints = np.unique(
+            np.concatenate([cdf.breakpoints for cdf in cdfs])
+        )
+        starts = self.breakpoints[:-1]
+        pieces = [
+            np.searchsorted(cdf.breakpoints, starts, side="right") - 1
+            for cdf in cdfs
+        ]
+        degree = np.zeros(starts.size, dtype=int)
+        for cdf, pdf, piece in zip(cdfs, pdfs, pieces):
+            if pdf is not None:
+                per_piece = [
+                    max(c.size - 1, d.size)
+                    for c, d in zip(cdf.coeffs, pdf.coeffs)
+                ]
+                # Outside the record's pieces (index -1 or past the
+                # end) its CDF is constant: degree 0.
+                degree += np.take(per_piece + [0], piece)
+        self.m = max(1, int(degree.max(initial=0)) - 1)
+        t, self.w, self.integ = _legendre_rule(self.m)
+        self.half = np.diff(self.breakpoints) / 2.0
+        # Column 0 is the segment's left end, columns 1.. its nodes.
+        offsets = self.half[:, None] * (np.concatenate(([-1.0], t)) + 1.0)
+        shape = (len(cdfs), starts.size, self.m)
+        self.pdf, self.cdf = np.zeros(shape), np.empty(shape)
+        self.cdf_at = np.empty((len(cdfs), starts.size + 1))
+        for row, (cdf, pdf, piece) in enumerate(zip(cdfs, pdfs, pieces)):
+            values = _piece_values(cdf, piece, starts, offsets)
+            self.cdf[row] = values[:, 1:]
+            self.cdf_at[row] = np.append(values[:, 0], cdf.right)
+            if pdf is not None:
+                values = _piece_values(pdf, piece, starts, offsets)
+                self.pdf[row] = values[:, 1:]
+        self.survival = 1.0 - self.cdf
+        self.nbytes = sum(
+            v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)
+        )
+
+
+def _piece_values(
+    poly: PiecewisePolynomial,
+    piece: np.ndarray,
+    starts: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """``poly`` at ``starts[:, None] + offsets``, one piece per segment."""
+    out = np.empty(offsets.shape)
+    out[piece < 0] = poly.left
+    out[piece >= len(poly.coeffs)] = poly.right
+    for j, coeffs in enumerate(poly.coeffs):
+        mask = piece == j
+        if np.any(mask):
+            local = offsets[mask] + (starts[mask] - poly.breakpoints[j])[
+                :, None
+            ]
+            out[mask] = _polyval_local(coeffs, local)
+    return out
+
+
 class ExactEvaluator:
     """Exact query-probability engine for piecewise-polynomial densities.
 
@@ -112,12 +214,14 @@ class ExactEvaluator:
                 "evaluators"
             )
         self._by_id: Dict[str, UncertainRecord] = {}
-        for rec in self.records:
+        self._row: Dict[str, int] = {}
+        for row, rec in enumerate(self.records):
             if rec.record_id in self._by_id:
                 raise EvaluationError(
                     f"duplicate record id {rec.record_id!r}"
                 )
             self._by_id[rec.record_id] = rec
+            self._row[rec.record_id] = row
         self._point_value = _tie_perturbations(self.records)
         # Deepest-seen eta matrix memo; see rank_probability_matrix.
         self._matrix: Optional[np.ndarray] = None
@@ -133,16 +237,17 @@ class ExactEvaluator:
                 pdf = rec.score.pdf_piecewise()
                 self._pdf[rec.record_id] = pdf
                 self._cdf[rec.record_id] = pdf.antiderivative()
-        # MCMC chains query one evaluator from pool threads, so both
-        # memos sit behind one lock. Values are built outside it: a
-        # racing duplicate build computes the same function, so it is
-        # wasted work, not a different answer.
-        self._memo_lock = threading.Lock()
-        # Tuple of record ids multiplied so far (database order) -> the
-        # running CDF product after them; see _complement_product.
-        self._products: Dict[Tuple[str, ...], PiecewisePolynomial] = {}
-        # Record id -> survival function ``1.0 - F``.
-        self._survival: Dict[str, PiecewisePolynomial] = {}
+        # The node grid, built by the first state probability. MCMC
+        # chains call those from pool threads, so the build is locked;
+        # the built grid is read-only.
+        self._grid_lock = threading.Lock()
+        self._grid: Optional[_NodeGrid] = None
+
+    @property
+    def nbytes(self) -> int:
+        """Retained size: the node grid and the eta memo, once built."""
+        parts = (self._grid, self._matrix)
+        return 256 + sum(p.nbytes for p in parts if p is not None)
 
     # ------------------------------------------------------------------
     # helpers
@@ -152,43 +257,16 @@ class ExactEvaluator:
         """Effective (tie-perturbed) value of a deterministic record."""
         return self._point_value.get(rec.record_id, rec.lower)
 
-    def _complement_product(self, ids: set) -> PiecewisePolynomial:
-        """``prod F_j`` over the records not in ``ids``, in database order.
+    def _nodes(self) -> _NodeGrid:
+        """The node grid, built on first use."""
+        with self._grid_lock:
+            if self._grid is None:
+                self._grid = _NodeGrid(self)
+            return self._grid
 
-        Each partial product is memoised under the tuple of record ids
-        multiplied so far, so states sharing a complement prefix share
-        its products. Every partial is the same floating-point
-        computation, ``((1 * F_a) * F_b) * ...``, a cold call makes, so a
-        memoised answer is bit-identical to a fresh one.
-        """
-        key: Tuple[str, ...] = ()
-        h = PiecewisePolynomial.constant(1.0)
-        for rec in self.records:
-            rid = rec.record_id
-            if rid in ids:
-                continue
-            key = key + (rid,)
-            with self._memo_lock:
-                cached = self._products.get(key)
-            if cached is None:
-                cached = h * self._cdf[rid]
-                with self._memo_lock:
-                    if len(self._products) < MEMO_ENTRIES:
-                        self._products[key] = cached
-            h = cached
-        return h
-
-    def _survival_of(self, rec: UncertainRecord) -> PiecewisePolynomial:
-        """The memoised survival function ``1.0 - F`` of ``rec``."""
-        rid = rec.record_id
-        with self._memo_lock:
-            surv = self._survival.get(rid)
-        if surv is None:
-            surv = 1.0 - self._cdf[rid]
-            with self._memo_lock:
-                if len(self._survival) < MEMO_ENTRIES:
-                    self._survival[rid] = surv
-        return surv
+    def _at(self, grid: _NodeGrid, rec: UncertainRecord) -> int:
+        """Breakpoint index of a deterministic record's value."""
+        return int(np.searchsorted(grid.breakpoints, self._point(rec)))
 
     def _resolve(self, rec_or_id) -> UncertainRecord:
         if isinstance(rec_or_id, UncertainRecord):
@@ -203,16 +281,13 @@ class ExactEvaluator:
             raise QueryError(f"record {rec_or_id!r} is not in this database")
         return rec
 
-    def _push_through(
-        self, rec: UncertainRecord, h: PiecewisePolynomial
-    ) -> PiecewisePolynomial:
-        """One backward-recursion step: ``h'(x) = int^x f(y) h(y) dy``."""
-        if rec.is_deterministic:
-            value = self._point(rec)
-            return PiecewisePolynomial.step(value, max(h(value), 0.0))
-        pdf = self._pdf[rec.record_id]
-        assert pdf is not None
-        return (pdf * h).antiderivative()
+    def _outside(self, ids: set) -> List[int]:
+        """Rows of the records not in ``ids``, in database order."""
+        return [
+            row
+            for row, rec in enumerate(self.records)
+            if rec.record_id not in ids
+        ]
 
     # ------------------------------------------------------------------
     # linear-extension and prefix probabilities
@@ -231,45 +306,14 @@ class ExactEvaluator:
             raise QueryError(
                 "extension_probability needs a permutation of the database"
             )
-        h = PiecewisePolynomial.constant(1.0)
-        for rec in reversed(ordered):
-            if h.breakpoints.size == 0:
-                # Constant h: seed the recursion with the record's CDF
-                # scaled by the constant.
-                h = self._cdf[rec.record_id] * h.right
-            else:
-                h = self._push_through(rec, self._compactify(h, rec))
-        return min(max(h.right, 0.0), 1.0)
-
-    def _compactify(
-        self, h: PiecewisePolynomial, rec: UncertainRecord
-    ) -> PiecewisePolynomial:
-        """Make ``h`` usable by :meth:`_push_through` for ``rec``.
-
-        ``h`` produced by previous steps has ``right`` equal to a constant
-        plateau; multiplying by a pdf keeps compact support, so ``h`` can
-        be used as-is. This hook exists to restrict very wide ``h`` to the
-        record's support for efficiency.
-        """
-        if rec.is_deterministic:
-            return h
-        lo, up = rec.lower, rec.upper
-        if h.breakpoints.size and (
-            h.breakpoints[0] < lo or h.breakpoints[-1] > up
-        ):
-            restricted = h.restrict(lo, up)
-            # Preserve the plateau value for x >= up: the pdf is zero
-            # there, so only the in-window values matter to the product,
-            # but the step-through for deterministic records evaluates at
-            # points, which stay inside the window by construction.
-            return restricted
-        return h
+        return self.prefix_probability(ordered)
 
     def prefix_probability(self, prefix: Sequence) -> float:
         """Probability of a k-length prefix (paper Eq. 6).
 
         ``prefix`` lists the top-k records in order; the CDF product of
-        all remaining records forms the innermost factor.
+        all remaining records forms the innermost factor, which each
+        member from the bottom up integrates against its density.
         """
         ordered = [self._resolve(r) for r in prefix]
         ids = {r.record_id for r in ordered}
@@ -277,13 +321,34 @@ class ExactEvaluator:
             raise QueryError("prefix contains duplicate records")
         if not ordered:
             return 1.0
-        h = self._complement_product(ids)
-        for rec in reversed(ordered):
-            if h.breakpoints.size == 0:
-                h = self._cdf[rec.record_id] * h.right
-            else:
-                h = self._push_through(rec, h)
-        return min(max(h.right, 0.0), 1.0)
+        grid = self._nodes()
+        outside = self._outside(ids)
+        # h at the nodes and, right-continuous, at the breakpoints.
+        h = np.prod(grid.cdf[outside], axis=0)
+        h_at = np.prod(grid.cdf_at[outside], axis=0)
+        for rec in reversed(ordered[1:]):
+            if rec.is_deterministic:
+                # A step at the point: constant on every segment.
+                at = self._at(grid, rec)
+                h_at = np.where(
+                    np.arange(h_at.size) >= at, max(h_at[at], 0.0), 0.0
+                )
+                h = np.repeat(h_at[:-1, None], grid.m, axis=1)
+                continue
+            integrand = grid.pdf[self._row[rec.record_id]] * h
+            h_at = np.concatenate(
+                ([0.0], np.cumsum((integrand @ grid.w) * grid.half))
+            )
+            h = h_at[:-1, None] + grid.half[:, None] * (
+                integrand @ grid.integ.T
+            )
+        top = ordered[0]
+        if top.is_deterministic:
+            total = float(h_at[self._at(grid, top)])
+        else:
+            integrand = grid.pdf[self._row[top.record_id]] * h
+            total = float((integrand @ grid.w) @ grid.half)
+        return min(max(total, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     # top-k set probability
@@ -292,9 +357,9 @@ class ExactEvaluator:
     def top_set_probability(self, record_set: Iterable) -> float:
         """Probability that ``record_set`` is exactly the top-k set.
 
-        Equals ``Pr(min of the set > max of the rest)``; computed by
-        integrating the density of the set's minimum against the CDF
-        product of the complement.
+        Equals ``Pr(min of the set > max of the rest)``: the sum over
+        members ``s`` of the density of ``s`` integrated against the
+        other members' survival functions and the complement's CDFs.
         """
         members = [self._resolve(r) for r in record_set]
         ids = {r.record_id for r in members}
@@ -302,32 +367,39 @@ class ExactEvaluator:
             raise QueryError("record set contains duplicates")
         if not members:
             return 1.0
-        # Iterate members in database order, not in the caller's: a
-        # frozenset's order follows the hash salt, and the products and
-        # the sum below must not.
-        members = [r for r in self.records if r.record_id in ids]
-        outside = self._complement_product(ids)
-
+        grid = self._nodes()
+        # Members and products in database order, not in the caller's:
+        # a frozenset's order follows the hash salt, and the sums must
+        # not.
+        rows = [
+            row
+            for row, rec in enumerate(self.records)
+            if rec.record_id in ids
+        ]
+        outside = self._outside(ids)
+        below = np.prod(grid.cdf[outside], axis=0)
         total = 0.0
-        for rec in members:
-            survival_product = PiecewisePolynomial.constant(1.0)
-            for other in members:
-                if other is rec:
-                    continue
-                survival_product = survival_product * self._survival_of(
-                    other
-                )
+        for pos, row in enumerate(rows):
+            others = rows[:pos] + rows[pos + 1:]
+            rec = self.records[row]
             if rec.is_deterministic:
-                value = self._point(rec)
-                total += max(survival_product(value), 0.0) * max(
-                    outside(value), 0.0
+                at = self._at(grid, rec)
+                total += max(
+                    float(
+                        np.prod(1.0 - grid.cdf_at[others, at])
+                        * np.prod(grid.cdf_at[outside, at])
+                    ),
+                    0.0,
                 )
             else:
-                pdf = self._pdf[rec.record_id]
-                assert pdf is not None
-                integrand = pdf * survival_product * outside
-                total += integrand.integral()
+                integrand = (
+                    grid.pdf[row]
+                    * np.prod(grid.survival[others], axis=0)
+                    * below
+                )
+                total += float((integrand @ grid.w) @ grid.half)
         return min(max(total, 0.0), 1.0)
+
 
     # ------------------------------------------------------------------
     # per-rank probabilities (Poisson-binomial dynamic program)

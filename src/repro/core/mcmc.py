@@ -60,6 +60,10 @@ from .trace import Span, activate, current_span
 
 logger = logging.getLogger(__name__)
 
+#: Largest database for which ``oracle="auto"`` scores states with the
+#: exact (quadrature) oracle rather than the Monte-Carlo one.
+EXACT_ORACLE_RECORDS = 60
+
 __all__ = [
     "ProposalResult",
     "MetropolisHastingsChain",
@@ -340,14 +344,12 @@ class TopKSimulation:
     state_probability:
         Optional override for the state-probability oracle.
     oracle:
-        ``"auto"`` (exact when densities allow it and the database is
-        small enough that per-state integrals stay cheap, Monte-Carlo
+        ``"auto"`` (exact when densities allow it and the database has
+        at most :data:`EXACT_ORACLE_RECORDS` records, Monte-Carlo
         otherwise), ``"exact"``, or ``"montecarlo"``. Ignored when
         ``state_probability`` is given.
     pi_samples:
         Sample count for the Monte-Carlo oracle.
-    exact_oracle_limit:
-        Largest database size for which ``oracle="auto"`` picks exact.
     use_pairwise_cache:
         Toggle for the §VI-D pairwise-integral cache (the caching
         ablation benchmark switches this off).
@@ -390,7 +392,6 @@ class TopKSimulation:
         oracle: str = "auto",
         pi_samples: int = 5000,
         use_pairwise_cache: bool = True,
-        exact_oracle_limit: int = 60,
         workers: Union[int, str, None] = None,
         oracle_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -429,7 +430,7 @@ class TopKSimulation:
         # threads (paper §VI-D "Caching"), so reads/writes take a lock.
         self._state_lock = threading.Lock()
         self._oracle = state_probability or self._build_oracle(
-            oracle, pi_samples, exact_oracle_limit
+            oracle, pi_samples
         )
         if use_pairwise_cache:
             # An injected cache (the engine's per-database Eq. 1 memo)
@@ -448,12 +449,12 @@ class TopKSimulation:
     # ------------------------------------------------------------------
 
     def _build_oracle(
-        self, oracle: str, pi_samples: int, exact_limit: int
+        self, oracle: str, pi_samples: int
     ) -> Callable[[Hashable], float]:
         if oracle == "auto":
             use_exact = (
                 supports_exact(self.records)
-                and len(self.records) <= exact_limit
+                and len(self.records) <= EXACT_ORACLE_RECORDS
             )
             oracle = "exact" if use_exact else "montecarlo"
         if oracle == "exact":

@@ -7,6 +7,8 @@ For records with independent score densities,
 where ``F_j`` is the CDF of ``t_j``. This module evaluates that integral:
 
 - in closed form for uniform/uniform and point/any pairs,
+- as a sum over atoms when either score is a multi-atom
+  :class:`~repro.core.distributions.DiscreteScore`,
 - exactly through the piecewise-polynomial algebra when both densities are
   piecewise polynomials,
 - by adaptive numeric quadrature otherwise,
@@ -14,15 +16,20 @@ where ``F_j`` is the CDF of ``t_j``. This module evaluates that integral:
 and provides the memo cache the paper calls out in §VI-D ("Caching"): the
 2-D integrals are shared among many MCMC states, so they are computed once
 per unordered pair.
+
+Scores that tie with positive probability (shared atoms) are resolved by
+the tie-breaker ``tau``, as for identical deterministic scores, so
+``Pr(a > b) + Pr(b > a) = 1`` for every pair.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
+import numpy as np
 from scipy import integrate
 
-from .distributions import PointScore, UniformScore
+from .distributions import DiscreteScore, PointScore, UniformScore
 from .records import UncertainRecord, tie_break
 
 __all__ = ["probability_greater", "PairwiseCache"]
@@ -83,6 +90,31 @@ def _generic_probability(a: UncertainRecord, b: UncertainRecord) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _atoms(rec: UncertainRecord) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(values, masses)`` of an atomic score, ``None`` for densities."""
+    if isinstance(rec.score, DiscreteScore):
+        return rec.score.values, rec.score.weights
+    if rec.is_deterministic:
+        return np.array([rec.lower]), np.ones(1)
+    return None
+
+
+def _atomic_probability(a: UncertainRecord, b: UncertainRecord) -> float:
+    """``Pr(a > b)`` when either score is discrete; ties go by ``tau``."""
+    atoms_a, atoms_b = _atoms(a), _atoms(b)
+    if atoms_a is None:
+        return min(max(1.0 - _atomic_probability(b, a), 0.0), 1.0)
+    values, masses = atoms_a
+    if atoms_b is None:
+        below = b.score.cdf(values)
+    else:
+        # b's mass strictly below each atom, plus on it for the tau winner.
+        side = "right" if tie_break(a, b) else "left"
+        cumulative = np.concatenate(([0.0], np.cumsum(atoms_b[1])))
+        below = cumulative[np.searchsorted(atoms_b[0], values, side=side)]
+    return min(max(float(np.dot(masses, below)), 0.0), 1.0)
+
+
 def probability_greater(a: UncertainRecord, b: UncertainRecord) -> float:
     """``Pr(a > b)`` under independent scores (paper Eq. 1).
 
@@ -95,6 +127,10 @@ def probability_greater(a: UncertainRecord, b: UncertainRecord) -> float:
         if a.lower < b.lower:
             return 0.0
         return 1.0 if tie_break(a, b) else 0.0
+    if isinstance(a.score, DiscreteScore) or isinstance(
+        b.score, DiscreteScore
+    ):
+        return _atomic_probability(a, b)
     if a.lower >= b.upper:
         return 1.0
     if b.lower >= a.upper:
@@ -116,9 +152,12 @@ def probability_greater(a: UncertainRecord, b: UncertainRecord) -> float:
 class PairwiseCache:
     """Memo cache for pairwise probabilities (paper §VI-D, "Caching").
 
-    Stores one probability per unordered record pair and serves the
-    complement for the reversed order. Hit/miss counters support the
-    caching ablation benchmark.
+    Computes one probability per unordered record pair and serves the
+    complement for the reversed order, which is exact because ties are
+    resolved by ``tau``. The computed orientation is fixed (the ``tau``
+    winner on the left), so each stored value is a pure function of the
+    pair, whichever order callers ask first. Hit/miss counters support
+    the caching ablation benchmark.
     """
 
     def __init__(self) -> None:
@@ -135,11 +174,12 @@ class PairwiseCache:
             # The store only ever holds already-clamped probabilities;
             # re-clamping on the cache-hit hot path is wasted work.
             return cached  # reprolint: disable=PRB001
-        value = probability_greater(a, b)
+        first, second = (b, a) if tie_break(b, a) else (a, b)
+        value = probability_greater(first, second)
         self.misses += 1
-        self._store[key] = value
-        self._store[(b.record_id, a.record_id)] = 1.0 - value
-        return value
+        self._store[(first.record_id, second.record_id)] = value
+        self._store[(second.record_id, first.record_id)] = 1.0 - value
+        return self._store[key]  # reprolint: disable=PRB001
 
     def __len__(self) -> int:
         return len(self._store)

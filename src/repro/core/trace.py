@@ -6,8 +6,8 @@ slow or degrades, ``elapsed`` alone cannot say *where* the time went.
 This module provides the span tree every query path emits into:
 
 - :class:`Span` — one timed region with a name, structured attributes,
-  monotonic wall-clock (``time.perf_counter``) and process CPU
-  (``time.process_time``) timings, and thread-safe child spans, so
+  monotonic wall-clock (``time.perf_counter``) and thread CPU
+  timings, and thread-safe child spans, so
   parallel sample blocks and MCMC chains can attach children
   concurrently.
 - A **contextvar-carried active span**: :func:`span` opens a child of
@@ -23,19 +23,21 @@ This module provides the span tree every query path emits into:
 - **JSON export** (:meth:`Span.to_dict`) rendered by
   :func:`render_trace` and the ``python -m repro.trace`` CLI.
 
-Span CPU timings use the *process* CPU clock: for spans whose work runs
-concurrently with other spans (blocks, chains) the CPU delta includes
-their neighbours' work and is best read as "process CPU burned while
-this span was open".
+Span CPU timings use the CPU clock of the thread that opened the span,
+read at the end even when another thread ends it. Spans whose work runs
+concurrently (blocks, chains) therefore each report their own thread's
+CPU, not their neighbours'. Work a span's thread hands to other threads
+is counted only in spans those threads open.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -71,6 +73,15 @@ def set_span_start_hook(hook: Optional[Any]) -> Optional[Any]:
     return previous
 
 
+def _thread_cpu_clock() -> Callable[[], float]:
+    """A reader of the calling thread's CPU clock, callable from any thread."""
+    try:
+        clock = time.pthread_getcpuclockid(threading.get_ident())
+    except (AttributeError, OSError):  # no per-thread clock ids here
+        return time.thread_time
+    return functools.partial(time.clock_gettime, clock)
+
+
 class Span:
     """One timed region of query evaluation, with children.
 
@@ -89,6 +100,7 @@ class Span:
         "_start_cpu",
         "_end_wall",
         "_end_cpu",
+        "_cpu_clock",
     )
 
     def __init__(self, name: str, **attributes: Any) -> None:
@@ -101,8 +113,9 @@ class Span:
             # Before the clocks start, so injected jitter perturbs the
             # schedule without inflating this span's own timings.
             hook(self)
+        self._cpu_clock = _thread_cpu_clock()
         self._start_wall = time.perf_counter()
-        self._start_cpu = time.process_time()
+        self._start_cpu = self._cpu_clock()
         self._end_wall: Optional[float] = None
         self._end_cpu: Optional[float] = None
 
@@ -113,7 +126,7 @@ class Span:
         with self._lock:
             if self._end_wall is None:
                 self._end_wall = time.perf_counter()
-                self._end_cpu = time.process_time()
+                self._end_cpu = self._cpu_clock()
 
     @property
     def ended(self) -> bool:
@@ -130,9 +143,9 @@ class Span:
 
     @property
     def cpu(self) -> float:
-        """Process CPU seconds burned while the span was open."""
+        """CPU seconds the opening thread burned while the span was open."""
         end = self._end_cpu
-        return (end if end is not None else time.process_time()) - (
+        return (end if end is not None else self._cpu_clock()) - (
             self._start_cpu
         )
 

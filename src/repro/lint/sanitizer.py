@@ -35,6 +35,12 @@ and cache temperature. It replays a seeded mixed-query workload
   the baseline cell only, so answers that follow set or dict
   iteration order of hashed keys show up as divergences;
 
+and every cell also runs a few stochastic queries over a second,
+fixed table whose scores tie with positive probability (discrete
+scores sharing atoms, point scores on those atoms), so pairwise
+integrals and MCMC proposals are exercised on ties at every worker
+count;
+
 and diffs every :meth:`~repro.core.queries.QueryResult.to_dict` against
 the unperturbed serial baseline **byte-for-byte** (canonicalized: the
 wall-clock, cache-delta, and trace fields are stripped — everything
@@ -72,6 +78,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import repro
 from repro.core import RankingEngine, certain, uniform
 from repro.core.cache import SAMPLE_BLOCK
+from repro.core.distributions import DiscreteScore
 from repro.core.queries import Query, QueryResult
 from repro.core.records import UncertainRecord
 from repro.core.trace import set_span_start_hook
@@ -167,6 +174,34 @@ def build_records(count: int = 12) -> List[UncertainRecord]:
             width = 0.5 + float((i * 13) % 7) / 2.0
             records.append(uniform(rid, lo, lo + width))
     return records
+
+
+def build_tied_records() -> List[UncertainRecord]:
+    """Nine records whose scores tie with positive probability.
+
+    Three discrete scores share the atoms 1, 2 and 3, three point scores
+    sit on those atoms, and three uniform intervals overlap them all.
+    """
+    records: List[UncertainRecord] = []
+    for i in range(9):
+        rid = f"d{i:02d}"
+        if i % 3 == 0:
+            score = DiscreteScore([1.0, 2.0, 3.0], [1.0, 2.0, 1.0 + i])
+            records.append(UncertainRecord(rid, score))
+        elif i % 3 == 1:
+            records.append(certain(rid, float(1 + i // 3)))
+        else:
+            records.append(uniform(rid, 0.5 + 0.25 * i, 3.5))
+    return records
+
+
+def build_tied_workload(k: int = 3) -> List[Query]:
+    """MCMC and Monte-Carlo queries for :func:`build_tied_records`."""
+    return [
+        Query(kind="utop_prefix", k=k, l=2, method="mcmc", seed=21),
+        Query(kind="utop_set", k=k, l=2, method="mcmc", seed=22),
+        Query(kind="utop_rank", i=1, j=k, l=2, method="montecarlo", seed=23),
+    ]
 
 
 #: Attribute domain used by the mutation-axis scoring function. The
@@ -558,6 +593,31 @@ def _execute(
     return passes[0], passes[1]
 
 
+def _execute_all(
+    label: str, records: Sequence[UncertainRecord], k: int, **cell: Any
+) -> Tuple[_Execution, _Execution]:
+    """:func:`_execute` over the workload, then over the tied table.
+
+    The tied table is always built from records: the mutate axis
+    applies to the main workload only.
+    """
+    main = _execute(label, records, build_workload(k=k), **cell)
+    cell["mutate"] = False
+    tied = _execute(
+        label, build_tied_records(), build_tied_workload(k=k), **cell
+    )
+    joined = [
+        _Execution(
+            one.label,
+            one.canonical + two.canonical,
+            one.encoded + two.encoded,
+            one.traces + two.traces,
+        )
+        for one, two in zip(main, tied)
+    ]
+    return joined[0], joined[1]
+
+
 def run_sanitizer(
     *,
     repeats: int = 3,
@@ -595,7 +655,7 @@ def run_sanitizer(
         if name not in ("on", "off"):
             raise ValueError(f"unknown mutate setting {name!r}")
     database = build_records(records)
-    queries = build_workload(k=k)
+    queries = build_workload(k=k) + build_tied_workload(k=k)
     report = SanitizerReport(
         repeats=repeats,
         worker_grid=grid,
@@ -634,10 +694,10 @@ def run_sanitizer(
                             f"planner={planner_mode} "
                             f"mutate={mutate_mode}"
                         )
-                        cold, warm = _execute(
+                        cold, warm = _execute_all(
                             label,
                             database,
-                            queries,
+                            k,
                             **cell(workers, planner_mode, mutate_mode),
                         )
                         report.runs += 1
@@ -708,8 +768,7 @@ def _replay_main() -> None:
     """Subprocess side of the hash-seed leg: cell spec in, cold pass out."""
     spec = json.load(sys.stdin)
     records = build_records(spec.pop("records"))
-    queries = build_workload(k=spec.pop("k"))
-    cold, _ = _execute("replay", records, queries, **spec)
+    cold, _ = _execute_all("replay", records, spec.pop("k"), **spec)
     json.dump(
         {
             "encoded": [line.decode("utf-8") for line in cold.encoded],

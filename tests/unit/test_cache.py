@@ -235,6 +235,19 @@ class TestArtifact:
         assert value.nbytes > cache.max_bytes
         assert cache.contains("arr", 0)
 
+    def test_exact_evaluator_is_sized_by_its_node_grid(self):
+        from repro.core.exact import ExactEvaluator
+
+        records = [uniform(f"r{i}", float(i), i + 2.5) for i in range(6)]
+        cache = ComputationCache()
+        evaluator = cache.artifact(
+            "exact", "fp", lambda: ExactEvaluator(records)
+        )
+        assert cache.stats().bytes == 256  # no grid yet
+        evaluator.prefix_probability(["r5", "r4"])
+        assert cache.stats().bytes > 256
+        assert cache.stats().bytes == evaluator.nbytes
+
     def test_shared_cache_is_singleton(self):
         assert shared_cache() is shared_cache()
 

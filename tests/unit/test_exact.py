@@ -1,7 +1,9 @@
 """Unit tests for the exact piecewise-polynomial probability engine."""
 
 import itertools
+import json
 import os
+import pathlib
 import sys
 import threading
 
@@ -9,7 +11,14 @@ import numpy as np
 import pytest
 
 from repro.core import exact as exact_module
-from repro.core.distributions import TruncatedGaussianScore
+from repro.core.distributions import (
+    HistogramScore,
+    MixtureScore,
+    PointScore,
+    TriangularScore,
+    TruncatedGaussianScore,
+    UniformScore,
+)
 from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator, supports_exact
 from repro.core.linext import enumerate_extensions, enumerate_prefixes
@@ -295,7 +304,7 @@ def _fresh_values(records):
 
 
 class TestOracleMemo:
-    """The CDF-product and survival memos never change an answer bit."""
+    """The lazily built node grid never changes an answer bit."""
 
     def test_warm_memo_in_another_order_matches_fresh(self):
         records = _memo_db()
@@ -310,46 +319,42 @@ class TestOracleMemo:
                 key = list(reversed(key))
             got[i] = getattr(warm, method)(key)
         assert [got[i] for i in range(len(states))] == fresh
-        assert warm._products and warm._survival
+        assert warm._grid is not None
 
-    def test_full_memo_stops_growing_and_answers_identically(
-        self, monkeypatch
-    ):
-        records = _memo_db()
-        fresh = _fresh_values(records)
-        monkeypatch.setattr(exact_module, "MEMO_ENTRIES", 5)
-        capped = ExactEvaluator(records)
-        got = [
-            getattr(capped, method)(key) for method, key in _states(records)
-        ]
-        assert len(capped._products) == 5
-        assert len(capped._survival) == 5
-        assert got == fresh
-
-    @pytest.mark.parametrize("cap", [5, exact_module.MEMO_ENTRIES])
+    @pytest.mark.parametrize("queries", [5, 512])
     def test_concurrent_callers_get_the_serial_values(
-        self, monkeypatch, cap
+        self, monkeypatch, queries
     ):
-        # More threads than cores and a tiny switch interval, so memo
-        # reads, builds and inserts interleave; a check-then-insert race
-        # would push a small memo past its cap.
+        # More threads than cores and a tiny switch interval, so the
+        # first calls race to build the grid; an unlocked build would
+        # run more than once. A short burst per thread races mostly on
+        # the build, a long one also interleaves reads of the built grid.
         records = _memo_db()
         states = _states(records)
         serial = _fresh_values(records)
-        monkeypatch.setattr(exact_module, "MEMO_ENTRIES", cap)
+        builds = []
+        grid_class = exact_module._NodeGrid
+
+        def counting_grid(evaluator):
+            builds.append(evaluator)
+            return grid_class(evaluator)
+
+        monkeypatch.setattr(exact_module, "_NodeGrid", counting_grid)
         shared = ExactEvaluator(records)
         workers = 2 * (os.cpu_count() or 2)
+        picks = [
+            np.random.default_rng(w).integers(len(states), size=queries)
+            for w in range(workers)
+        ]
         results = [None] * workers
         barrier = threading.Barrier(workers)
 
         def hammer(worker):
-            order = np.random.default_rng(worker).permutation(len(states))
             barrier.wait()
-            out = {}
-            for i in order:
-                method, key = states[i]
-                out[i] = getattr(shared, method)(key)
-            results[worker] = [out[i] for i in range(len(states))]
+            results[worker] = [
+                getattr(shared, states[i][0])(states[i][1])
+                for i in picks[worker]
+            ]
 
         threads = [
             threading.Thread(target=hammer, args=(w,))
@@ -365,9 +370,79 @@ class TestOracleMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [serial] * workers
-        assert len(shared._products) <= cap
-        assert len(shared._survival) <= cap
+        assert results == [[serial[i] for i in pick] for pick in picks]
+        assert builds == [shared]
+
+    def test_eta_alone_builds_no_grid(self):
+        evaluator = ExactEvaluator(_memo_db())
+        evaluator.rank_probability_matrix(max_rank=2)
+        assert evaluator._grid is None
+        evaluator.prefix_probability(["a", "b"])
+        assert evaluator._grid is not None
+
+
+PARITY = pathlib.Path(__file__).parent / "data" / "exact_oracle_parity.json"
+
+
+def _parity_score(spec):
+    family = spec["family"]
+    params = spec.get("params")
+    if family == "point":
+        return PointScore(*params)
+    if family == "uniform":
+        return UniformScore(*params)
+    if family == "triangular":
+        return TriangularScore(*params)
+    if family == "histogram":
+        return HistogramScore(spec["edges"], spec["masses"])
+    if family == "mixture":
+        return MixtureScore(
+            [_parity_score(c) for c in spec["components"]], spec["weights"]
+        )
+    assert family == "gaussian_approx"
+    return TruncatedGaussianScore(*params).piecewise_approximation(
+        spec["segments"]
+    )
+
+
+def _parity_tables():
+    tables = json.loads(PARITY.read_text())["tables"]
+    return [pytest.param(table, id=name) for name, table in tables.items()]
+
+
+class TestQuadratureParity:
+    """The quadrature oracle against the symbolic recursion it replaced."""
+
+    METHODS = {
+        "prefix": "prefix_probability",
+        "set": "top_set_probability",
+        "extension": "extension_probability",
+    }
+
+    @pytest.mark.parametrize("table", _parity_tables())
+    def test_matches_symbolic_values(self, table):
+        records = [
+            UncertainRecord(spec["id"], _parity_score(spec))
+            for spec in table["records"]
+        ]
+        evaluator = ExactEvaluator(records)
+        kinds = set()
+        for kind, key, expected in table["states"]:
+            kinds.add(kind)
+            got = getattr(evaluator, self.METHODS[kind])(key)
+            assert abs(got - expected) <= 1e-12, (kind, key)
+        assert kinds == set(self.METHODS)
+
+    def test_integration_matrix_is_exact_at_its_degree(self):
+        for m in (1, 2, 5, 12, 40):
+            t, w, integ = exact_module._legendre_rule(m)
+            for degree in range(m):
+                running = integ @ t**degree
+                exact = (t ** (degree + 1) - (-1.0) ** (degree + 1)) / (
+                    degree + 1
+                )
+                assert np.allclose(running, exact, rtol=0, atol=1e-13)
+            assert abs(w.sum() - 2.0) < 1e-13
 
 
 class TestPairwiseConsistency:

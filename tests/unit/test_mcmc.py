@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.distributions import DiscreteScore
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.linext import is_linear_extension
@@ -13,7 +14,7 @@ from repro.core.mcmc import (
     set_probability_upper_bound,
 )
 from repro.core.ppo import ProbabilisticPartialOrder
-from repro.core.records import uniform
+from repro.core.records import UncertainRecord, certain, uniform
 
 
 class TestUpperBounds:
@@ -256,6 +257,33 @@ class TestParallelChains:
         result = self._run(paper_db, workers=3)
         assert result.trace.psrf
         assert all(np.isfinite(p) for p in result.trace.psrf)
+
+    def test_tied_scores_repeat_at_two_workers(self):
+        # Discrete scores sharing atoms with point scores: which chain
+        # first asks a pair's Eq. 1 probability, and in which order,
+        # varies from run to run, and must not change an answer bit.
+        records = []
+        for i in range(9):
+            rid = f"d{i}"
+            if i % 3 == 0:
+                score = DiscreteScore([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+                records.append(UncertainRecord(rid, score))
+            elif i % 3 == 1:
+                records.append(certain(rid, float(1 + i % 2)))
+            else:
+                records.append(uniform(rid, 0.5 + 0.1 * i, 3.0))
+        outcomes = set()
+        for _ in range(6):
+            sim = TopKSimulation(
+                records, k=2, target="set", n_chains=4, seed=5, workers=2,
+                oracle="montecarlo", pi_samples=500,
+            )
+            result = sim.run(max_steps=300, epoch=100)
+            outcomes.add(
+                repr([(sorted(key), p) for key, p in result.answers])
+                + repr(result.acceptance_rate)
+            )
+        assert len(outcomes) == 1
 
     def test_auto_workers_accepted(self, paper_db):
         sim = TopKSimulation(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import (
+    DiscreteScore,
     HistogramScore,
     TruncatedGaussianScore,
     UniformScore,
@@ -120,6 +121,49 @@ class TestPairwiseCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == cache.misses == 0
+
+
+class TestAtomicScores:
+    """Discrete scores: exact atom sums, ties resolved by ``tau``."""
+
+    @staticmethod
+    def _records():
+        return [
+            UncertainRecord("a", DiscreteScore([1.0, 2.0], [1.0, 1.0])),
+            UncertainRecord("b", DiscreteScore([2.0, 3.0], [1.0, 3.0])),
+            certain("c", 2.0),
+            uniform("d", 0.0, 3.0),
+        ]
+
+    def test_values(self):
+        a, b, c, d = self._records()
+        # Tie at 2 (mass 1/2 * 1/4) goes to 'a', the tau winner.
+        assert probability_greater(a, b) == pytest.approx(0.125)
+        assert probability_greater(a, c) == pytest.approx(0.5)
+        assert probability_greater(b, c) == pytest.approx(1.0)
+        assert probability_greater(a, d) == pytest.approx(0.5)
+        assert probability_greater(d, b) == pytest.approx(1.0 / 12.0)
+
+    def test_complements_sum_to_one(self):
+        records = self._records()
+        for x in records:
+            for y in records:
+                if x is not y:
+                    total = probability_greater(x, y) + probability_greater(
+                        y, x
+                    )
+                    assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_cache_is_independent_of_asking_order(self):
+        records = self._records()
+        pairs = [(x, y) for x in records for y in records if x is not y]
+        forward, backward = PairwiseCache(), PairwiseCache()
+        for x, y in pairs:
+            forward.probability(x, y)
+        for x, y in reversed(pairs):
+            backward.probability(x, y)
+        assert dict(forward.snapshot()) == dict(backward.snapshot())
+        assert forward.misses == backward.misses == len(pairs) // 2
 
 
 class TestCarryForward:

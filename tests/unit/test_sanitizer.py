@@ -23,6 +23,7 @@ from repro.lint.sanitizer import (
     answer_digest,
     build_mutation_scenario,
     build_records,
+    build_tied_workload,
     build_workload,
     canonical_result,
     encode_canonical,
@@ -256,7 +257,7 @@ class TestSanitizerSmoke:
         assert report.jitter_calls > 0
         # every cell's cold and warm pass (minus the baseline itself),
         # plus one subprocess replay under another PYTHONHASHSEED
-        queries = len(build_workload())
+        queries = len(build_workload()) + len(build_tied_workload())
         assert report.hash_seed_comparisons == queries
         assert report.comparisons == (2 * 8 - 1) * queries + queries
         assert report.to_dict()["hash_seed_comparisons"] == queries

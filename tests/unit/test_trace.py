@@ -46,6 +46,38 @@ class TestSpan:
         assert node.wall == frozen
         assert node.cpu >= 0
 
+    def test_concurrent_spans_report_their_own_thread_cpu(self):
+        spans = [None, None]
+        barrier = threading.Barrier(3)
+
+        def burn(slot):
+            barrier.wait()
+            node = Span(f"burn{slot}")
+            total = 0
+            for i in range(400_000):
+                total += i * i
+            node.end()
+            spans[slot] = node
+
+        threads = [threading.Thread(target=burn, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        started = time.process_time()
+        barrier.wait()
+        for thread in threads:
+            thread.join()
+        process = time.process_time() - started
+        for node in spans:
+            assert 0.0 < node.cpu < 0.75 * process
+
+    def test_span_ended_on_another_thread_reads_its_opener_clock(self):
+        node = Span("opened here")
+        mine = time.thread_time()
+        ender = threading.Thread(target=node.end)
+        ender.start()
+        ender.join()
+        assert 0.0 <= node.cpu <= time.thread_time() - mine + 0.01
+
     def test_attributes_set_and_add(self):
         node = Span("work")
         node.set(records=3)
