@@ -52,16 +52,21 @@ __all__ = [
     "summarize_stages",
 ]
 
-#: Per-unit wall-clock priors (seconds per work unit), by ladder stage.
+#: Per-unit wall-clock priors (seconds per work unit), keyed by ladder
+#: stage or, where one query family's stage runs a different algorithm,
+#: by its ``kind:stage`` key (which wins over the stage's own prior).
 #: Calibrated empirically: the exact rank DP runs at ~7e-4 s per
 #: ``n^2 * depth`` unit on heavily overlapping continuous densities,
-#: prefix enumeration at ~1e-5 s per ``space * n`` unit (one quadrature
-#: ``prefix_probability`` per enumerated prefix; sets ~3e-6), MCMC at
-#: ~3e-5 s per ``chains * steps * n`` unit, and columnar Monte-Carlo at
-#: ~1.5e-8 s per ``samples * n`` unit. Online fitting replaces these
-#: after the first completed observation per (kind, stage).
+#: exact TOP-k enumeration at ~1e-5 s per ``space * n`` unit for
+#: prefixes (one quadrature ``prefix_probability`` per enumerated
+#: prefix) and ~3e-6 for sets, MCMC at ~3e-5 s per
+#: ``chains * steps * n`` unit, and columnar Monte-Carlo at ~1.5e-8 s
+#: per ``samples * n`` unit. Online fitting replaces these after the
+#: first completed observation per (kind, stage).
 DEFAULT_UNIT_COSTS: Dict[str, float] = {
     "exact": 7e-4,
+    "utop_prefix:exact": 1e-5,
+    "utop_set:exact": 3e-6,
     "mcmc": 3e-5,
     "montecarlo": 1.5e-8,
     "baseline": 2e-6,
@@ -256,6 +261,9 @@ class CostModel:
         self._lock = threading.Lock()
 
     def _prior_for(self, key: str) -> float:
+        prior = self._priors.get(key)
+        if prior is not None:
+            return prior
         stage = key.rsplit(":", 1)[-1]
         return self._priors.get(stage, self._priors.get("baseline", 1e-6))
 

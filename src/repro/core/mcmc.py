@@ -701,7 +701,9 @@ class TopKSimulation:
         # fresh context: capture the active span and metrics registry
         # here and re-install both around every chain advancement, so
         # per-chain spans attach to the query's trace and oracle-retry
-        # counters hit the query's registry.
+        # counters hit the query's registry. The chain span is opened
+        # here, so the CPU of the thread that steps the chain is
+        # credited to it explicitly.
         parent = current_span()
         registry = active_registry()
         chain_spans: Optional[List[Span]] = (
@@ -718,8 +720,12 @@ class TopKSimulation:
                 if chain_spans is None:
                     chains[index].run(steps)
                 else:
+                    begun = time.thread_time()
                     with activate(chain_spans[index]):
                         chains[index].run(steps)
+                    chain_spans[index].credit_cpu(
+                        time.thread_time() - begun
+                    )
 
         trace = ConvergenceTrace(steps=[], psrf=[], elapsed=[])
         converged = False

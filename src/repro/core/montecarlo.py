@@ -18,6 +18,9 @@ into a :class:`~repro.core.distributions.SamplingPlan` that groups
 records by distribution family, so drawing an ``(s, n)`` score matrix
 and evaluating the CDF products of Eq. 6 cost a constant number of
 NumPy calls per family group instead of one Python call per record.
+Draws are ranked by :func:`rank_order`, one in-place value sort of
+packed ``(score, column)`` keys, over row slices small enough to stay
+in cache (:data:`RANK_SLICE_CELLS`).
 For multi-worker rank counting (sample blocks drawn on a thread pool)
 see :mod:`repro.core.parallel` and :class:`~repro.core.cache.
 RankCountStore`.
@@ -50,42 +53,66 @@ from .records import UncertainRecord
 from .trace import accumulate
 
 __all__ = [
+    "RANK_SLICE_CELLS",
     "MonteCarloEvaluator",
     "compile_plan",
     "rank_order",
     "select_top_rank_candidates",
 ]
 
-#: Rows at most this wide are ranked with one stable sort. Wider rows
-#: take the unstable sort plus a tie check on the ranked head, which is
-#: cheaper there; at this width and below both sorts cost about the
-#: same, so the check would be pure overhead.
-STABLE_SORT_WIDTH = 16
+#: Cells per row slice that :meth:`MonteCarloEvaluator.rank_counts`
+#: ranks at once: 512 KiB per float64 temporary, so a slice's working
+#: set stays in L2 and its temporaries are small enough for the
+#: allocator to reuse in place instead of returning them to the OS and
+#: page-faulting them back in on the next slice.
+RANK_SLICE_CELLS = 65_536
+
+#: Packed keys of ``-inf`` and ``+inf`` (see :func:`rank_order`).
+_KEY_NEG_INF = np.uint64(0x000F_FFFF_FFFF_FFFF)
+_KEY_POS_INF = np.uint64(0xFFF0_0000_0000_0000)
 
 
 def rank_order(scores: np.ndarray, limit: int) -> np.ndarray:
     """Record indices of the ``limit`` best scores in each row, best first.
 
     Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :limit]``:
-    equal scores rank by column (database) index, lower first. Rows wider
-    than :data:`STABLE_SORT_WIDTH` are sorted unstably; the unstable
-    order can differ from the stable one only inside a run of equal
-    values, and only such a run that reaches into the first ``limit``
-    positions changes the result. Those rows are the ones whose first
-    ``min(limit + 1, n)`` sorted values are not strictly increasing
-    (an equal adjacent pair, or a NaN), and only they are re-sorted
-    stably.
+    equal scores rank by column (database) index, lower first.
+
+    Each negated score is mapped to an order-preserving ``uint64`` key
+    whose low ``b = (n - 1).bit_length()`` bits are replaced by the
+    column index, and the keys are sorted in place by value (no
+    ``argsort``); the index is read back from the low bits. Truncating
+    those bits can merge distinct scores, so a row is exact only when
+    every adjacent pair among its first ``min(limit + 1, n)`` sorted
+    keys differs by more than the index mask: such keys cannot share
+    their value bits, so the order of the head and the set it holds
+    are the scores' own. The other rows (exact ties, near ties, and
+    rows holding a NaN or an infinity) are re-sorted stably.
     """
-    neg = -scores
-    n = neg.shape[1]
-    if n <= STABLE_SORT_WIDTH:
-        return np.argsort(neg, axis=1, kind="stable")[:, :limit]
-    order = np.argsort(neg, axis=1)
-    head = np.take_along_axis(neg, order[:, : min(limit + 1, n)], axis=1)
-    tied = ~np.all(head[:, 1:] > head[:, :-1], axis=1)
-    if tied.any():
-        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-    return order[:, :limit]
+    n = scores.shape[1]
+    if n == 0:
+        return np.empty((scores.shape[0], 0), dtype=np.intp)
+    mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    # ``0.0 - x`` maps -0.0 to +0.0, so signed zeros share one key and
+    # tie, as they compare equal in ``argsort``.
+    keys = np.subtract(0.0, scores, dtype=np.float64).view(np.int64)
+    # Negative floats flip every bit, the others only the sign bit.
+    keys ^= (keys >> 63) | np.int64(-(2**63))
+    keys = keys.view(np.uint64)
+    keys &= ~mask
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    head = keys[:, : min(limit + 1, n)]
+    inexact = np.any(np.diff(head, axis=1) <= mask, axis=1)
+    # NaN keys lie beyond the infinities' keys, at the ends of a row.
+    inexact |= keys[:, 0] <= _KEY_NEG_INF
+    inexact |= keys[:, -1] >= _KEY_POS_INF
+    order = (keys[:, :limit] & mask).astype(np.intp)
+    if inexact.any():
+        order[inexact] = np.argsort(
+            -scores[inexact], axis=1, kind="stable"
+        )[:, :limit]
+    return order
 
 
 def compile_plan(records: Sequence[UncertainRecord]) -> SamplingPlan:
@@ -344,11 +371,15 @@ class MonteCarloEvaluator:
         draws per chunk are identical whether or not a budget is
         supplied, so a clipped run is a strict prefix of the full run.
 
-        Each chunk is ranked by :func:`rank_order` (only the top
-        ``max_rank`` positions are ordered exactly) and counted with one
-        ``np.bincount`` over ``record * limit + rank``. The integer
-        counts add exactly into the float matrix, so the result equals
-        one ``+1.0`` per ``(record, rank)`` hit.
+        Each chunk is drawn with one :meth:`_draw` call, so the RNG
+        stream does not depend on how the chunk is ranked. It is then
+        ranked by :func:`rank_order` (only the top ``max_rank``
+        positions are ordered exactly) in row slices of at most
+        :data:`RANK_SLICE_CELLS` cells, each counted with one
+        ``np.bincount`` over ``record * limit + rank`` into an integer
+        tally. The tally adds exactly into the float matrix once per
+        chunk, so the result equals one ``+1.0`` per ``(record, rank)``
+        hit.
 
         Raises :class:`~repro.core.errors.EvaluationError` when a drawn
         score is NaN/inf — rankings over non-finite scores are
@@ -359,6 +390,7 @@ class MonteCarloEvaluator:
         n = len(self.records)
         limit = n if max_rank is None else min(max_rank, n)
         chunk = max(1, min(samples, self._MAX_MATRIX_CELLS // max(n, 1)))
+        rows = max(1, RANK_SLICE_CELLS // max(n, 1))
         counts = np.zeros((n, limit))
         rank_cols = np.arange(limit)
         rng = self._stream(seed)
@@ -370,15 +402,18 @@ class MonteCarloEvaluator:
                 break
             batch = min(chunk, samples - done)
             scores = self._draw(rng, batch)
-            if not np.all(np.isfinite(scores)):
-                raise EvaluationError(
-                    "sampled scores contain non-finite values; the score "
-                    "model is corrupt (see core.validation.validate_records)"
-                )
-            flat = rank_order(scores, limit) * limit + rank_cols
-            counts += np.bincount(
-                flat.ravel(), minlength=n * limit
-            ).reshape(n, limit)
+            hits = np.zeros(n * limit, dtype=np.int64)
+            for start in range(0, batch, rows):
+                block = scores[start : start + rows]
+                if not np.all(np.isfinite(block)):
+                    raise EvaluationError(
+                        "sampled scores contain non-finite values; the "
+                        "score model is corrupt (see "
+                        "core.validation.validate_records)"
+                    )
+                flat = rank_order(block, limit) * limit + rank_cols
+                hits += np.bincount(flat.ravel(), minlength=n * limit)
+            counts += hits.reshape(n, limit)
             done += batch
         if done > 0:
             metrics.inc("samples_drawn_total", float(done))

@@ -27,7 +27,8 @@ Span CPU timings use the CPU clock of the thread that opened the span,
 read at the end even when another thread ends it. Spans whose work runs
 concurrently (blocks, chains) therefore each report their own thread's
 CPU, not their neighbours'. Work a span's thread hands to other threads
-is counted only in spans those threads open.
+is counted only in spans those threads open, or in CPU the worker
+credits back to the span (:meth:`Span.credit_cpu`, as MCMC chains do).
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class Span:
         "_end_wall",
         "_end_cpu",
         "_cpu_clock",
+        "_credited_cpu",
     )
 
     def __init__(self, name: str, **attributes: Any) -> None:
@@ -118,6 +120,7 @@ class Span:
         self._start_cpu = self._cpu_clock()
         self._end_wall: Optional[float] = None
         self._end_cpu: Optional[float] = None
+        self._credited_cpu: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -143,11 +146,29 @@ class Span:
 
     @property
     def cpu(self) -> float:
-        """CPU seconds the opening thread burned while the span was open."""
+        """CPU seconds the opening thread burned while the span was open.
+
+        A span credited with :meth:`credit_cpu` reports the credited
+        total instead.
+        """
+        credited = self._credited_cpu
+        if credited is not None:
+            return credited
         end = self._end_cpu
         return (end if end is not None else self._cpu_clock()) - (
             self._start_cpu
         )
+
+    def credit_cpu(self, seconds: float) -> None:
+        """Count CPU seconds a worker thread spent on this span's work.
+
+        For a span opened by a dispatcher whose work runs on pool
+        threads: each worker measures its own thread's CPU around the
+        work and credits it here, and :attr:`cpu` then reports the
+        credited total rather than the dispatcher's clock.
+        """
+        with self._lock:
+            self._credited_cpu = (self._credited_cpu or 0.0) + seconds
 
     # -- structure -----------------------------------------------------
 

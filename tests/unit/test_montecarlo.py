@@ -1,13 +1,20 @@
 """Unit tests for the Monte-Carlo evaluation engine (paper §VI-C)."""
 
+import platform
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.distributions import DiscreteScore, UniformScore
-from repro.core.errors import QueryError
+from repro.core.distributions import (
+    DiscreteScore,
+    TruncatedGaussianScore,
+    UniformScore,
+)
+from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.montecarlo import (
-    STABLE_SORT_WIDTH,
+    RANK_SLICE_CELLS,
     MonteCarloEvaluator,
     rank_order,
     select_top_rank_candidates,
@@ -96,28 +103,43 @@ def _tie_heavy_scores(width):
     rows_equal[::3] = 0.5
     signed_zeros = rng.choice([0.0, -0.0, 1.0], size=(300, width))
     signed_zeros[:, 0] = -0.0
+    non_finite = base.copy()
+    cells = rng.random(size=base.shape)
+    non_finite[cells < 0.05] = np.nan
+    non_finite[(cells >= 0.05) & (cells < 0.08)] = -np.nan
+    non_finite[(cells >= 0.08) & (cells < 0.12)] = np.inf
+    non_finite[(cells >= 0.12) & (cells < 0.16)] = -np.inf
+    # The two best scores differ only in the lowest mantissa bit, which
+    # the packed keys give to the column index: only the stable
+    # fallback can order them.
+    truncated = rng.uniform(size=(300, width))
+    truncated[:, 0] = 1.0
+    truncated[:, -1] = np.nextafter(1.0, 2.0)
     return {
         "continuous": base,
         "rounded": np.round(base, 1),
         "duplicated-columns": duplicated,
         "rows-equal": rows_equal,
         "signed-zeros": signed_zeros,
+        "non-finite": non_finite,
+        "truncated-bits": truncated,
     }
 
 
+# Widths 1, 2, 300 and 1025 put the packed index-bit count on both
+# sides of powers of two; at 300 and 1025 the 300-row batches are not a
+# multiple of the rows in one rank slice, and at 120 and below they are
+# smaller than one slice.
 KERNEL_CASES = [
     (width, limit, name)
-    for width in (8, 16, 17, 41, 120)
-    for limit in sorted({1, width // 2, width})
+    for width in (1, 2, 8, 16, 17, 41, 120, 300, 1025)
+    for limit in sorted({1, max(1, width // 2), width})
     for name in _tie_heavy_scores(width)
 ]
 
 
 class TestRankOrder:
     """``rank_order`` is the stable full sort's top ``limit`` columns."""
-
-    def test_tested_widths_straddle_the_crossover(self):
-        assert STABLE_SORT_WIDTH == 16
 
     @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
     def test_equals_stable_argsort(self, width, limit, name):
@@ -131,9 +153,13 @@ class TestRankOrder:
     def test_rank_counts_equal_add_at_scatter(self, width, limit, name):
         scores = _tie_heavy_scores(width)[name]
         sampler = MonteCarloEvaluator(
-            [uniform(f"u{i:03d}", 0.0, 1.0) for i in range(width)]
+            [uniform(f"u{i:04d}", 0.0, 1.0) for i in range(width)]
         )
         sampler._draw = lambda rng, batch: scores[:batch]
+        if name == "non-finite":
+            with pytest.raises(EvaluationError):
+                sampler.rank_counts(scores.shape[0], max_rank=limit)
+            return
         got = sampler.rank_counts(scores.shape[0], max_rank=limit)
         expected = np.zeros((width, limit))
         rankings = np.argsort(-scores, axis=1, kind="stable")
@@ -142,6 +168,64 @@ class TestRankOrder:
         )
         assert got.counts.dtype == expected.dtype
         assert np.array_equal(got.counts, expected)
+
+    def test_rank_counts_draw_once_per_chunk(self):
+        # Uniform, Gaussian and tied point columns make a multi-family
+        # plan, whose stream depends on the row count of each draw: the
+        # counts must come from one draw per memory chunk, however the
+        # chunk is then sliced for ranking.
+        records = (
+            [uniform(f"u{i:03d}", i * 0.1, i * 0.1 + 3.0) for i in range(60)]
+            + [
+                UncertainRecord(
+                    f"g{i:03d}",
+                    TruncatedGaussianScore(mu, 1.0, mu - 3.0, mu + 3.0),
+                )
+                for i, mu in enumerate(np.arange(60) * 0.1)
+            ]
+            + [certain(f"p{i:03d}", 2.0 + i // 2) for i in range(10)]
+        )
+        n, limit, samples = len(records), 40, 2_500
+        rows = RANK_SLICE_CELLS // n
+        sampler = MonteCarloEvaluator(records, seed=11)
+        sampler._MAX_MATRIX_CELLS = n * (2 * rows + 92)
+        got = sampler.rank_counts(samples, max_rank=limit, seed=4)
+
+        reference = MonteCarloEvaluator(records, seed=11)
+        rng = reference._stream(4)
+        chunk = 2 * rows + 92
+        draws = [
+            reference._draw(rng, min(chunk, samples - done))
+            for done in range(0, samples, chunk)
+        ]
+        rankings = np.argsort(-np.vstack(draws), axis=1, kind="stable")
+        expected = np.zeros((n, limit))
+        np.add.at(
+            expected, (rankings[:, :limit], np.arange(limit)[None, :]), 1.0
+        )
+        assert len(draws) == 3 and samples % chunk != 0
+        assert np.array_equal(got.counts, expected)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc",
+        reason="minor-fault accounting of glibc's heap trimming",
+    )
+    def test_wide_rank_counts_reuse_their_memory(self):
+        import resource
+
+        # Ranking a 4096 x 120 chunk whole used to free four ~4 MB
+        # temporaries at once; glibc returned them to the OS and the
+        # next call faulted every page back in (~4,855 minor faults).
+        sampler = MonteCarloEvaluator(
+            [uniform(f"u{i:03d}", i * 0.1, i * 0.1 + 5.0) for i in range(120)]
+        )
+        sampler.rank_counts(4096, max_rank=120)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            sampler.rank_counts(4096, max_rank=120)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert (after - before) / 5 < 100
 
     def test_sample_rankings_are_stable_full_rankings(self):
         records = [

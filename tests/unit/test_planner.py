@@ -199,6 +199,32 @@ class TestCostModel:
         assert stats["total_seconds"] == pytest.approx(0.4)
         assert stats["mean_seconds"] == pytest.approx(0.2)
 
+    def test_kind_stage_prior_wins_over_stage_prior(self):
+        model = CostModel()
+        assert model.rate(self.KEY) == DEFAULT_UNIT_COSTS["exact"]
+        for kind in ("utop_prefix", "utop_set"):
+            key = stage_key(kind, "exact")
+            assert model.rate(key) == DEFAULT_UNIT_COSTS[key]
+            assert model.rate(key) < DEFAULT_UNIT_COSTS["exact"] / 50
+
+    def test_exact_topk_is_priced_as_enumeration(self):
+        # Eight records survive pruning at k=2, and exact TOP-k over them
+        # runs in milliseconds. Priced at the rank DP's per-unit prior
+        # it was predicted at 0.233 s, enough to skip it under a deadline.
+        step = 100.0 / 400
+        engine = RankingEngine(
+            [
+                uniform(f"r{i:04d}", (i - 2.75) * step, (i + 3.75) * step)
+                for i in range(400)
+            ],
+            seed=0,
+        )
+        for kind in ("utop_prefix", "utop_set"):
+            explained = engine.explain(kind, 2)
+            assert explained["pruned_size"] == 8
+            stages = {s["stage"]: s for s in explained["plan"]["stages"]}
+            assert stages["exact"]["predicted_seconds"] < 0.05
+
     def test_units_floor_at_one(self):
         model = CostModel()
         assert model.predict(self.KEY, 0) == pytest.approx(

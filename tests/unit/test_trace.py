@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro.core.trace import (
     render_trace,
     span,
     span_under,
+    walk_spans,
 )
 from repro.trace import main as trace_main
 
@@ -77,6 +79,55 @@ class TestSpan:
         ender.start()
         ender.join()
         assert 0.0 <= node.cpu <= time.thread_time() - mine + 0.01
+
+    def test_credited_cpu_replaces_the_opener_clock(self):
+        node = Span("chain")
+        node.credit_cpu(0.25)
+        node.credit_cpu(0.5)
+        node.end()
+        assert node.cpu == 0.75
+        assert node.to_dict()["cpu_seconds"] == 0.75
+
+    def test_concurrent_credits_are_not_lost(self):
+        node = Span("chain")
+
+        def credit():
+            for _ in range(20_000):
+                node.credit_cpu(0.5)
+
+        threads = [threading.Thread(target=credit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert node.cpu == 8 * 20_000 * 0.5
+
+    def test_mcmc_chain_spans_carry_their_pool_threads_cpu(self):
+        # Chain spans open on the dispatching thread, but the chains
+        # step on the pool's two threads: without credited CPU a chain
+        # span reported the idle dispatcher's clock (~10% of the query).
+        engine = RankingEngine(
+            [uniform(f"u{i:02d}", i * 0.5, i * 0.5 + 30.0) for i in range(12)],
+            seed=0,
+            workers=2,
+            mcmc_chains=2,
+            trace=True,
+        )
+        try:
+            result = engine.utop_prefix(3, method="mcmc")
+        finally:
+            engine.close()
+        dump = result.trace.to_dict()
+        chains = [n for n in walk_spans(dump) if n["name"] == "chain"]
+        assert len(chains) == 2
+        chain_cpu = sum(node["cpu_seconds"] for node in chains)
+        assert chain_cpu >= dump["wall_seconds"] / 3
 
     def test_attributes_set_and_add(self):
         node = Span("work")
