@@ -141,6 +141,25 @@ KERNEL_CASES = [
 class TestRankOrder:
     """``rank_order`` is the stable full sort's top ``limit`` columns."""
 
+    def test_tested_widths_straddle_the_crossover(self):
+        widths = sorted({width for width, _, _ in KERNEL_CASES})
+        batch = _tie_heavy_scores(1)["continuous"].shape[0]
+        slice_rows = {w: max(1, RANK_SLICE_CELLS // w) for w in widths}
+        # Some batches fit in one rank slice, others span several with a
+        # partial last slice.
+        assert any(batch <= slice_rows[w] for w in widths)
+        assert any(
+            batch > slice_rows[w] and batch % slice_rows[w] != 0
+            for w in widths
+        )
+        # The packed index-bit count b = (n - 1).bit_length() is tested
+        # at 0 and 1, at an exact power of two and just past one, and at
+        # a width above 1024.
+        bits = {(w - 1).bit_length() for w in widths}
+        assert {0, 1}.issubset(bits)
+        assert any(w & (w - 1) == 0 and w + 1 in widths for w in widths)
+        assert max(widths) > 1024
+
     @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
     def test_equals_stable_argsort(self, width, limit, name):
         scores = _tie_heavy_scores(width)[name]
