@@ -55,16 +55,17 @@ __all__ = [
 #: Per-unit wall-clock priors (seconds per work unit), keyed by ladder
 #: stage or, where one query family's stage runs a different algorithm,
 #: by its ``kind:stage`` key (which wins over the stage's own prior).
-#: Calibrated empirically: the exact rank DP runs at ~7e-4 s per
-#: ``n^2 * depth`` unit on heavily overlapping continuous densities,
-#: exact TOP-k enumeration at ~1e-5 s per ``space * n`` unit for
+#: Calibrated empirically on a 2-core host: exact η (the node-grid
+#: rank DP) runs at ~2e-6 to ~7e-6 s per ``n^2 * depth`` unit on 11 to
+#: 20 overlapping uniforms, the small end paying the grid build; exact
+#: TOP-k enumeration at ~1e-5 s per ``space * n`` unit for
 #: prefixes (one quadrature ``prefix_probability`` per enumerated
 #: prefix) and ~3e-6 for sets, MCMC at ~3e-5 s per
 #: ``chains * steps * n`` unit, and columnar Monte-Carlo at ~1.5e-8 s
 #: per ``samples * n`` unit. Online fitting replaces these after the
 #: first completed observation per (kind, stage).
 DEFAULT_UNIT_COSTS: Dict[str, float] = {
-    "exact": 7e-4,
+    "exact": 5e-6,
     "utop_prefix:exact": 1e-5,
     "utop_set:exact": 3e-6,
     "mcmc": 3e-5,

@@ -8,16 +8,18 @@ scores), those integrals are *exactly computable*: every density and CDF
 is a piecewise polynomial, giving the reproduction a stronger ground
 truth than the paper had for its own accuracy experiments (Fig. 9).
 
-Prefix (Eq. 6), extension (Eq. 4) and top-k set probabilities use
-Gauss–Legendre quadrature. Between consecutive breakpoints of all
-records every integrand is one polynomial, so enough nodes per segment
-integrate it exactly up to rounding. A prefix runs the backward
-recursion ``h_j(x) = int^x f_j h_j+1``, seeded with the CDF product of
-the records outside it, on the node values; a set ``S`` sums
-``int f_s prod_{S-s} (1 - F) prod_{not S} F`` over its members (the
-generating-function form of Li, Saha and Deshpande). Per-rank
-probabilities (a Poisson-binomial dynamic program) and Eq. 1 stay in
-the piecewise-polynomial algebra of :mod:`repro.core.piecewise`.
+Every probability here is a Gauss–Legendre quadrature on one node grid.
+Between consecutive breakpoints of all records every integrand is one
+polynomial, so enough nodes per segment integrate it exactly up to
+rounding. A prefix (Eq. 6, and Eq. 4 as a full-length prefix) runs the
+backward recursion ``h_j(x) = int^x f_j h_j+1``, seeded with the CDF
+product of the records outside it, on the node values. A top-k set
+``S`` sums ``int f_s prod_{S-s} (1 - F) prod_{not S} F`` over its
+members. Per-rank probabilities (Eq. 7) integrate ``f_t`` against the
+coefficients of ``prod_{j != t} (F_j + (1 - F_j) z)``, a
+Poisson-binomial dynamic program run on the node values. Both are the
+generating-function form of Li, Saha and Deshpande. Eq. 1 is
+``int f_a F_b``.
 
 Deterministic scores are Dirac masses and are special-cased: identical
 deterministic scores are separated by an infinitesimal perturbation
@@ -124,12 +126,21 @@ class _NodeGrid:
     ``cdf_at`` the right-continuous CDFs at the breakpoints. Values come
     from each record's piece covering the segment, at offsets from its
     left end, so segments below float resolution still see the right
-    piece.
+    piece. Record ``r``'s CDF rises on segments ``first[r]`` to
+    ``stop[r] - 1``; it is 0 before them and at its final value after.
     """
 
     def __init__(self, evaluator: "ExactEvaluator") -> None:
-        cdfs = [evaluator._cdf[rec.record_id] for rec in evaluator.records]
-        pdfs = [evaluator._pdf[rec.record_id] for rec in evaluator.records]
+        pdfs = [
+            None if rec.is_deterministic else rec.score.pdf_piecewise()
+            for rec in evaluator.records
+        ]
+        cdfs = [
+            PiecewisePolynomial.step(evaluator._point(rec), 1.0)
+            if pdf is None
+            else pdf.antiderivative()
+            for rec, pdf in zip(evaluator.records, pdfs)
+        ]
         self.breakpoints = np.unique(
             np.concatenate([cdf.breakpoints for cdf in cdfs])
         )
@@ -164,6 +175,8 @@ class _NodeGrid:
                 values = _piece_values(pdf, piece, starts, offsets)
                 self.pdf[row] = values[:, 1:]
         self.survival = 1.0 - self.cdf
+        ends = np.array([cdf.breakpoints[[0, -1]] for cdf in cdfs])
+        self.first, self.stop = np.searchsorted(self.breakpoints, ends).T
         self.nbytes = sum(
             v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)
         )
@@ -225,21 +238,9 @@ class ExactEvaluator:
         self._point_value = _tie_perturbations(self.records)
         # Deepest-seen eta matrix memo; see rank_probability_matrix.
         self._matrix: Optional[np.ndarray] = None
-        self._pdf: Dict[str, Optional[PiecewisePolynomial]] = {}
-        self._cdf: Dict[str, PiecewisePolynomial] = {}
-        for rec in self.records:
-            if rec.is_deterministic:
-                self._pdf[rec.record_id] = None
-                self._cdf[rec.record_id] = PiecewisePolynomial.step(
-                    self._point(rec), 1.0
-                )
-            else:
-                pdf = rec.score.pdf_piecewise()
-                self._pdf[rec.record_id] = pdf
-                self._cdf[rec.record_id] = pdf.antiderivative()
-        # The node grid, built by the first state probability. MCMC
-        # chains call those from pool threads, so the build is locked;
-        # the built grid is read-only.
+        # The node grid, built by the first query. MCMC chains query
+        # from pool threads, so the build is locked; the built grid is
+        # read-only.
         self._grid_lock = threading.Lock()
         self._grid: Optional[_NodeGrid] = None
 
@@ -413,54 +414,11 @@ class ExactEvaluator:
         """``eta_r(t)`` for ``r = 1 .. max_rank`` (default: all ranks).
 
         ``eta_r(t)`` is the probability that exactly ``r - 1`` other
-        records score above ``t``. Computed with a Poisson-binomial DP:
-        processing the other records one by one, ``C[m](x)`` tracks the
-        probability (as a function of ``t``'s score ``x``) that exactly
-        ``m`` of the processed records exceed ``x``.
+        records score above ``t``: one row of
+        :meth:`rank_probability_matrix`.
         """
-        rec = self._resolve(record)
-        n = len(self.records)
-        limit = n if max_rank is None else min(max_rank, n)
-        others = [r for r in self.records if r.record_id != rec.record_id]
-
-        if rec.is_deterministic:
-            # Scalar Poisson-binomial DP at the point score; mass moving
-            # past rank ``limit`` simply leaves the reported window.
-            x0 = self._point(rec)
-            dp = np.zeros(limit)
-            dp[0] = 1.0
-            for other in others:
-                win = float(
-                    min(max(1.0 - self._cdf[other.record_id](x0), 0.0), 1.0)
-                )
-                new = dp * (1.0 - win)
-                new[1:] += dp[:-1] * win
-                dp = new
-            return dp
-
-        lo, up = rec.lower, rec.upper
-        one = PiecewisePolynomial.box(lo, up, 1.0)
-        dp: List[PiecewisePolynomial] = [one]
-        zero = PiecewisePolynomial.zero()
-        for other in others:
-            cdf = self._cdf[other.record_id].restrict(lo, up)
-            surv = one - cdf
-            new: List[PiecewisePolynomial] = []
-            width = min(len(dp) + 1, limit)
-            for m in range(width):
-                term = zero
-                if m < len(dp):
-                    term = term + dp[m] * cdf
-                if 0 <= m - 1 < len(dp):
-                    term = term + dp[m - 1] * surv
-                new.append(term)
-            dp = new
-        pdf = self._pdf[rec.record_id]
-        assert pdf is not None
-        out = np.zeros(limit)
-        for m, c_m in enumerate(dp):
-            out[m] = max((pdf * c_m).integral(), 0.0)
-        return out
+        row = self._row[self._resolve(record).record_id]
+        return self.rank_probability_matrix(max_rank)[row]
 
     def rank_range_probability(
         self, record: Union[UncertainRecord, str], i: int, j: int
@@ -481,42 +439,95 @@ class ExactEvaluator:
         Rows follow the database order of ``self.records``. This is the
         summary that drives exact rank aggregation (paper Theorem 2).
 
-        The budget is polled between record rows. A half-computed exact
+        On each grid segment, a record whose CDF is 0 there (it scores
+        above every point of the segment) contributes a factor ``z``
+        and one whose CDF has risen to its end contributes 1, so only
+        the records straddling the segment need polynomial work. Their
+        factors ``F + (1 - F) z`` are multiplied into prefix and suffix
+        products at the nodes, truncated to the rank window (each factor
+        only moves mass to higher coefficients, so truncation is exact
+        and needs no division). Record ``t``'s row is
+        ``prefix[t] * suffix[t + 1]`` integrated against its density.
+        Segments with ``max_rank`` or more records surely above are
+        skipped (the k-dominance cut). A point score's row is the same
+        product, read at its tie-perturbed breakpoint.
+
+        The budget is polled between segments. A half-computed exact
         matrix would misrepresent the remaining records, so exhaustion
         raises :class:`EvaluationError` (feeding the degradation ladder)
         rather than returning a partial answer.
 
-        Unbudgeted calls memoize the matrix at the deepest ``max_rank``
-        requested so far and serve shallower requests as column slices,
-        which is exact: the Poisson-binomial recurrence fills entry
-        ``m`` identically whatever the requested ``max_rank >= m + 1``
-        is, so the sliced deep matrix is bit-identical to a directly
-        computed shallow one. The memo is *not* eagerly full-depth —
-        the DP cost grows with the rank window, and top-k queries only
-        ever need a few columns. Budgeted calls bypass the memo both
-        ways — they must poll the budget row by row, and a
+        Entry ``r`` is computed by the same operations whatever the
+        requested ``max_rank >= r + 1`` is, so a column slice of a deep
+        matrix is bit-identical to a directly computed shallow one.
+        Unbudgeted calls therefore memoize the matrix at the deepest
+        ``max_rank`` requested so far and serve shallower requests as
+        column slices. Budgeted calls bypass the memo both ways — a
         budget-truncated run must not poison later queries.
         """
         n = len(self.records)
         limit = n if max_rank is None else min(max_rank, n)
-        if budget is None:
-            if self._matrix is None or self._matrix.shape[1] < limit:
-                stored = np.zeros((n, limit))
-                for idx, rec in enumerate(self.records):
-                    stored[idx] = self.rank_probabilities(
-                        rec, max_rank=limit
-                    )
-                self._matrix = stored
-            return self._matrix[:, :limit].copy()
-        out = np.zeros((n, limit))
-        for idx, rec in enumerate(self.records):
-            if budget.expired():
+        if budget is not None:
+            return self._rank_matrix(limit, budget)
+        if self._matrix is None or self._matrix.shape[1] < limit:
+            self._matrix = self._rank_matrix(limit, None)
+        return self._matrix[:, :limit].copy()
+
+    def _rank_matrix(self, limit: int, budget: Optional[Budget]) -> np.ndarray:
+        """The first ``limit`` columns of the eta matrix, computed anew."""
+        out = np.zeros((len(self.records), limit))
+        if not self.records or limit < 1:
+            return out
+        grid = self._nodes()
+        segments = grid.half.size
+        for seg in range(segments):
+            if budget is not None and budget.expired():
                 raise EvaluationError(
                     f"budget {budget.exhausted_reason()} after "
-                    f"{idx} of {n} exact rank rows"
+                    f"{seg} of {segments} exact rank segments"
                 )
-            out[idx] = self.rank_probabilities(rec, max_rank=limit)
-        return out
+            above = int(np.count_nonzero(grid.first > seg))
+            width = limit - above
+            rows = np.flatnonzero((grid.first <= seg) & (seg < grid.stop))
+            if width < 1 or rows.size == 0:
+                continue
+            count = rows.size
+            cdf, survival = grid.cdf[rows, seg], grid.survival[rows, seg]
+            prefix = np.zeros((count + 1, width, grid.m))
+            suffix = np.zeros_like(prefix)
+            prefix[0, 0] = suffix[count, 0] = 1.0
+            for i in range(count):
+                prefix[i + 1] = prefix[i] * cdf[i]
+                prefix[i + 1, 1:] += prefix[i, :-1] * survival[i]
+                j = count - 1 - i
+                suffix[j] = suffix[j + 1] * cdf[j]
+                suffix[j, 1:] += suffix[j + 1, :-1] * survival[j]
+            # Coefficient c of prefix[t] * suffix[t + 1], summed over
+            # a = 0 .. c in that order whatever the width.
+            product = np.zeros((count, width, grid.m))
+            for a in range(width):
+                product[:, a:] += (
+                    prefix[:count, a, None] * suffix[1:, : width - a]
+                )
+            weight = grid.pdf[rows, seg] * grid.w
+            out[rows, above:] += (product * weight[:, None, :]).sum(
+                axis=2
+            ) * grid.half[seg]
+        points = [
+            row for row, rec in enumerate(self.records) if rec.is_deterministic
+        ]
+        if points:
+            at = [self._at(grid, self.records[row]) for row in points]
+            # A point's own CDF is 1 at its value, so it never wins.
+            wins = np.clip(1.0 - grid.cdf_at[:, at], 0.0, 1.0)
+            dp = np.zeros((len(points), limit))
+            dp[:, 0] = 1.0
+            for win in wins:
+                step = dp * (1.0 - win)[:, None]
+                step[:, 1:] += dp[:, :-1] * win[:, None]
+                dp = step
+            out[points] = dp
+        return np.maximum(out, 0.0, out=out)
 
     # ------------------------------------------------------------------
     # pairwise probability (consistency entry point)
@@ -527,22 +538,18 @@ class ExactEvaluator:
         a: Union[UncertainRecord, str],
         b: Union[UncertainRecord, str],
     ) -> float:
-        """Exact ``Pr(a > b)`` via the piecewise algebra (Eq. 1)."""
+        """Exact ``Pr(a > b) = int f_a F_b`` (Eq. 1) on the node grid."""
         rec_a = self._resolve(a)
         rec_b = self._resolve(b)
+        if rec_a.is_deterministic and rec_b.is_deterministic:
+            return 1.0 if self._point(rec_a) > self._point(rec_b) else 0.0
+        grid = self._nodes()
+        row_a, row_b = self._row[rec_a.record_id], self._row[rec_b.record_id]
         if rec_a.is_deterministic:
-            value = self._point(rec_a)
-            if rec_b.is_deterministic:
-                return 1.0 if value > self._point(rec_b) else 0.0
-            return float(
-                min(max(self._cdf[rec_b.record_id](value), 0.0), 1.0)
-            )
-        if rec_b.is_deterministic:
-            value = self._point(rec_b)
-            return float(
-                min(max(1.0 - self._cdf[rec_a.record_id](value), 0.0), 1.0)
-            )
-        pdf_a = self._pdf[rec_a.record_id]
-        assert pdf_a is not None
-        product = pdf_a * self._cdf[rec_b.record_id]
-        return min(max(product.integral(), 0.0), 1.0)
+            value = grid.cdf_at[row_b, self._at(grid, rec_a)]
+        elif rec_b.is_deterministic:
+            value = 1.0 - grid.cdf_at[row_a, self._at(grid, rec_b)]
+        else:
+            integrand = grid.pdf[row_a] * grid.cdf[row_b]
+            value = (integrand @ grid.w) @ grid.half
+        return min(max(float(value), 0.0), 1.0)

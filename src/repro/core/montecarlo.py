@@ -605,16 +605,25 @@ class MonteCarloEvaluator:
 
         ``target`` is ``"prefix"`` (ordered tuples of record ids) or
         ``"set"`` (frozensets: rows are sorted first so order-insensitive
-        keys coincide). Distinct keys are found with one
-        ``np.unique(axis=0)`` pass over the ``(s, k)`` top block instead
-        of a Python row loop.
+        keys coincide). The scores are drawn in one call, as for
+        :meth:`sample_rankings`, and only their top ``k`` columns are
+        ranked, in row slices of at most :data:`RANK_SLICE_CELLS` cells.
+        Distinct keys are found with one ``np.unique(axis=0)`` pass over
+        the ``(s, k)`` top block instead of a Python row loop.
         """
         if target not in ("prefix", "set"):
             raise QueryError(f"unknown empirical target {target!r}")
         if k < 1:
             raise QueryError("k must be positive")
         k = min(k, len(self.records))
-        top = self.sample_rankings(samples, seed=seed)[:, :k]
+        scores = self.sample_scores(samples, seed=seed)
+        rows = max(1, RANK_SLICE_CELLS // scores.shape[1])
+        top = np.concatenate(
+            [
+                rank_order(scores[start : start + rows], k)
+                for start in range(0, samples, rows)
+            ]
+        )
         if target == "set":
             top = np.sort(top, axis=1)
         rows, counts = np.unique(top, axis=0, return_counts=True)

@@ -1,10 +1,11 @@
 """Piecewise-polynomial function algebra.
 
-This module is the exact-integration substrate used by
-:mod:`repro.core.exact` to evaluate the nested integrals of the paper
-(Eq. 4 for linear-extension probabilities, Eq. 6 for prefix probabilities)
-*symbolically* whenever all score densities are piecewise polynomials
-(point masses, uniforms, histograms, and mixtures thereof).
+Score families with an exact piecewise-polynomial density describe it in
+this algebra (point masses, uniforms, histograms, triangulars and
+mixtures thereof). :mod:`repro.core.exact` reads the densities and their
+antiderivatives at its Gauss–Legendre nodes, and the exact branch of
+:func:`repro.core.pairwise.probability_greater` integrates ``f_a F_b``
+here.
 
 A :class:`PiecewisePolynomial` represents a function on the whole real
 line:
@@ -19,8 +20,8 @@ Functions are right-continuous at breakpoints. Jumps are allowed, which
 lets step functions (the CDFs of deterministic scores) participate in the
 same algebra as smooth pieces.
 
-Supported operations: evaluation, addition, multiplication, scalar
-arithmetic, antiderivatives of compactly supported functions, and definite
+Supported operations: evaluation, addition, multiplication (also by a
+scalar), antiderivatives of compactly supported functions, and definite
 integrals. Products and sums align breakpoints automatically.
 """
 
@@ -273,16 +274,6 @@ class PiecewisePolynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "PiecewisePolynomial":
-        return self + (-1.0) * (
-            other
-            if isinstance(other, PiecewisePolynomial)
-            else PiecewisePolynomial.constant(float(other))
-        )
-
-    def __rsub__(self, other) -> "PiecewisePolynomial":
-        return PiecewisePolynomial.constant(float(other)) - self
-
     def __mul__(self, other) -> "PiecewisePolynomial":
         if isinstance(other, (int, float)):
             factor = float(other)
@@ -295,9 +286,6 @@ class PiecewisePolynomial:
         return self._binary(other, self._op_mul)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "PiecewisePolynomial":
-        return self * -1.0
 
     # ------------------------------------------------------------------
     # calculus
@@ -369,20 +357,6 @@ class PiecewisePolynomial:
                     - _polyval_local(integ, np.array([u_lo]))[0]
                 )
         return total
-
-    def restrict(self, lo: float, up: float) -> "PiecewisePolynomial":
-        """Clamp the representation to the window ``[lo, up]``.
-
-        The result equals this function on ``[lo, up)`` and is zero
-        outside. Used to keep segment counts small when the caller will
-        multiply by a factor that vanishes outside the window anyway.
-        """
-        if up <= lo:
-            raise ValueError("restrict requires lo < up")
-        grid = np.union1d(self.breakpoints, [lo, up])
-        grid = grid[(grid >= lo) & (grid <= up)]
-        segs = self._segments_on(grid)
-        return PiecewisePolynomial(grid, segs, left=0.0, right=0.0)
 
     # ------------------------------------------------------------------
     # introspection

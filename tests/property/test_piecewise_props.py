@@ -93,18 +93,3 @@ def test_total_integral_consistent_with_antiderivative(f):
     total = f.integral()
     spanned = f.integrate(f.breakpoints[0] - 1, f.breakpoints[-1] + 1)
     assert abs(total - spanned) < 1e-7 * (1 + abs(total))
-
-
-@given(piecewise_functions())
-@settings(max_examples=40, deadline=None)
-def test_restrict_preserves_interior_values(f):
-    lo, hi = float(f.breakpoints[0]), float(f.breakpoints[-1])
-    if hi - lo < 1e-3:
-        return
-    mid_lo = lo + 0.25 * (hi - lo)
-    mid_hi = lo + 0.75 * (hi - lo)
-    g = f.restrict(mid_lo, mid_hi)
-    xs = np.linspace(mid_lo, mid_hi - 1e-9, 11)
-    assert np.allclose(g(xs), f(xs), atol=1e-8)
-    assert g(mid_lo - 1.0) == 0.0
-    assert g(mid_hi + 1.0) == 0.0

@@ -267,7 +267,7 @@ class TestExactBudget:
         budget = Budget(deadline=0.0, clock=clock)
         clock.now += 1.0
         evaluator = ExactEvaluator(small_db)
-        with pytest.raises(EvaluationError, match="exact rank rows"):
+        with pytest.raises(EvaluationError, match="exact rank segments"):
             evaluator.rank_probability_matrix(budget=budget)
 
     def test_mid_computation_expiry_names_progress(self, small_db):
@@ -275,14 +275,18 @@ class TestExactBudget:
         budget = Budget(deadline=1.5, clock=clock)
         evaluator = ExactEvaluator(small_db)
 
-        original = evaluator.rank_probabilities
+        poll = budget.expired
 
-        def advancing(rec, max_rank=None):
-            clock.now += 1.0  # each row costs one fake second
-            return original(rec, max_rank=max_rank)
+        def advancing():
+            expired = poll()
+            clock.now += 1.0  # each grid segment costs one fake second
+            return expired
 
-        evaluator.rank_probabilities = advancing
-        with pytest.raises(EvaluationError, match="2 of 4 exact rank rows"):
+        budget.expired = advancing
+        # Breakpoints 1, 3, 4, 5, 6, 8: five segments.
+        with pytest.raises(
+            EvaluationError, match="2 of 5 exact rank segments"
+        ):
             evaluator.rank_probability_matrix(budget=budget)
 
 

@@ -373,12 +373,19 @@ class TestOracleMemo:
         assert results == [[serial[i] for i in pick] for pick in picks]
         assert builds == [shared]
 
-    def test_eta_alone_builds_no_grid(self):
+    def test_eta_and_states_share_one_grid(self, monkeypatch):
+        builds = []
+        grid_class = exact_module._NodeGrid
+
+        def counting_grid(evaluator):
+            builds.append(evaluator)
+            return grid_class(evaluator)
+
+        monkeypatch.setattr(exact_module, "_NodeGrid", counting_grid)
         evaluator = ExactEvaluator(_memo_db())
         evaluator.rank_probability_matrix(max_rank=2)
-        assert evaluator._grid is None
         evaluator.prefix_probability(["a", "b"])
-        assert evaluator._grid is not None
+        assert builds == [evaluator]
 
 
 PARITY = pathlib.Path(__file__).parent / "data" / "exact_oracle_parity.json"
@@ -410,28 +417,54 @@ def _parity_tables():
     return [pytest.param(table, id=name) for name, table in tables.items()]
 
 
+def _parity_records(table):
+    return [
+        UncertainRecord(spec["id"], _parity_score(spec))
+        for spec in table["records"]
+    ]
+
+
 class TestQuadratureParity:
-    """The quadrature oracle against the symbolic recursion it replaced."""
+    """The quadrature oracle against the symbolic algebra it replaced."""
 
     METHODS = {
         "prefix": "prefix_probability",
         "set": "top_set_probability",
         "extension": "extension_probability",
+        "eta": "rank_probabilities",
     }
 
     @pytest.mark.parametrize("table", _parity_tables())
     def test_matches_symbolic_values(self, table):
-        records = [
-            UncertainRecord(spec["id"], _parity_score(spec))
-            for spec in table["records"]
-        ]
-        evaluator = ExactEvaluator(records)
+        evaluator = ExactEvaluator(_parity_records(table))
         kinds = set()
         for kind, key, expected in table["states"]:
             kinds.add(kind)
             got = getattr(evaluator, self.METHODS[kind])(key)
-            assert abs(got - expected) <= 1e-12, (kind, key)
+            assert np.max(np.abs(got - np.asarray(expected))) <= 1e-12, (
+                kind,
+                key,
+            )
         assert kinds == set(self.METHODS)
+
+    @pytest.mark.parametrize("table", _parity_tables())
+    def test_shallow_eta_is_a_slice_of_the_full_matrix(self, table):
+        records = _parity_records(table)
+        full = ExactEvaluator(records).rank_probability_matrix()
+        shallow = ExactEvaluator(records).rank_probability_matrix(max_rank=2)
+        assert np.array_equal(shallow, full[:, :2])
+
+    def test_eta_matches_high_precision_reference(self):
+        # 16 uniforms of width 30 at offsets of 0.1: the symbolic DP
+        # missed this 40-digit reference by up to 1e-11.
+        reference = json.loads(PARITY.read_text())["eta_reference"]
+        expected = np.array(reference["eta"], dtype=float)
+        matrix = ExactEvaluator(
+            _parity_records(reference)
+        ).rank_probability_matrix()
+        assert np.max(np.abs(matrix - expected)) <= 1e-15
+        assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) <= 1e-14
+        assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-14
 
     def test_integration_matrix_is_exact_at_its_degree(self):
         for m in (1, 2, 5, 12, 40):

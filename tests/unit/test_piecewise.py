@@ -93,13 +93,6 @@ class TestArithmetic:
         assert (f * 2.0)(0.5) == 6.0
         assert (2.0 * f)(0.5) == 6.0
         assert (f + 1.0)(0.5) == 4.0
-        assert (1.0 - f)(0.5) == -2.0
-        assert (-f)(0.5) == -3.0
-
-    def test_subtraction(self):
-        f = PiecewisePolynomial.ramp(0.0, 1.0)
-        g = f - f
-        assert np.allclose(g(np.linspace(-1, 2, 13)), 0.0)
 
     def test_product_of_steps(self):
         f = PiecewisePolynomial.step(1.0, 1.0)
@@ -152,26 +145,6 @@ class TestCalculus:
         pdf = PiecewisePolynomial.box(0.0, 1.0, 1.0)
         cdf = pdf.antiderivative()
         assert (pdf * cdf).integral() == pytest.approx(0.5)
-
-
-class TestRestrict:
-    def test_restrict_matches_inside_window(self):
-        f = PiecewisePolynomial.ramp(0.0, 10.0)
-        g = f.restrict(2.0, 5.0)
-        xs = np.linspace(2.0, 4.999, 17)
-        assert np.allclose(g(xs), f(xs))
-
-    def test_restrict_zero_outside(self):
-        f = PiecewisePolynomial.constant(7.0)
-        g = f.restrict(0.0, 1.0)
-        assert g(-0.5) == 0.0
-        assert g(1.5) == 0.0
-        assert g(0.5) == 7.0
-
-    def test_restrict_invalid_window(self):
-        f = PiecewisePolynomial.constant(1.0)
-        with pytest.raises(ValueError):
-            f.restrict(1.0, 1.0)
 
 
 class TestIntrospection:

