@@ -62,7 +62,6 @@ import numpy as np
 
 from . import metrics
 from .budget import Budget, SampleCounts
-from .costmodel import CostModel
 from .errors import QueryError
 from .montecarlo import MonteCarloEvaluator
 from .pairwise import PairwiseCache
@@ -159,14 +158,12 @@ class MigrationReport:
 
     ``pairwise_carried``/``pairwise_dropped`` count ordered Eq. 1 memo
     entries moved to (resp. excluded from) the post-mutation
-    fingerprint; ``cost_model_carried`` says whether the fitted planner
-    cost model was re-keyed. ``noop`` marks a migration where the
-    fingerprints were already equal (a byte-identical mutation batch).
+    fingerprint. ``noop`` marks a migration where the fingerprints were
+    already equal (a byte-identical mutation batch).
     """
 
     pairwise_carried: int = 0
     pairwise_dropped: int = 0
-    cost_model_carried: bool = False
     noop: bool = False
 
     @property
@@ -182,7 +179,6 @@ class MigrationReport:
         return {
             "pairwise_carried": self.pairwise_carried,
             "pairwise_dropped": self.pairwise_dropped,
-            "cost_model_carried": self.cost_model_carried,
             "reuse_fraction": self.reuse_fraction,
             "noop": self.noop,
         }
@@ -487,11 +483,6 @@ class ComputationCache:
           carry_forward`). A single-record edit at ``n`` records keeps
           ``(n-1)(n-2)`` of the ``n(n-1)`` ordered entries — the ≥90%
           reuse the streaming benchmark measures.
-        - **The fitted cost model**: stage-cost coefficients are
-          properties of the database's size and overlap structure, which
-          one edit barely perturbs; the model is advisory (it shapes
-          budgeted plans, never unbudgeted answers), so re-keying it is
-          safe and keeps warm planning accuracy.
 
         **Rank-count blocks are deliberately not re-keyed.** A block is
         a pure function of ``(fingerprint, backend, block index)`` and
@@ -523,17 +514,6 @@ class ComputationCache:
                 self._entries[("pairwise", new_fingerprint)] = _Entry(
                     value=fresh, size_fn=lambda v=fresh: v.nbytes
                 )
-            cost_carried = False
-            cm_entry = self._entries.get(("cost-model", old_fingerprint))
-            if cm_entry is not None and not self.contains(
-                "cost-model", new_fingerprint
-            ):
-                # The same live model serves both keys; observations are
-                # advisory, so sharing cannot change any answer.
-                self._entries[("cost-model", new_fingerprint)] = _Entry(
-                    value=cm_entry.value, size_fn=cm_entry.size_fn
-                )
-                cost_carried = True
             self._migrations += 1
             self._carried += carried
             metrics.inc("cache_migrations_total")
@@ -542,24 +522,7 @@ class ComputationCache:
             return MigrationReport(
                 pairwise_carried=carried,
                 pairwise_dropped=dropped,
-                cost_model_carried=cost_carried,
             )
-
-    # ------------------------------------------------------------------
-    # planner cost model
-    # ------------------------------------------------------------------
-
-    def cost_model(self, fingerprint: str) -> "CostModel":
-        """The fitted planner cost model for one database fingerprint.
-
-        Keyed by fingerprint because stage costs are properties of the
-        database (size, overlap structure): engines sharing a cache
-        also share fitted coefficients, so a warm engine plans with
-        everything previously observed against the same table. Stored
-        as an ordinary artifact, so a version-bumped fingerprint
-        naturally starts from priors again.
-        """
-        return self.artifact("cost-model", fingerprint, CostModel)
 
     # ------------------------------------------------------------------
     # rank counts (Eq. 7) with deterministic top-up

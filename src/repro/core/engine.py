@@ -63,6 +63,12 @@ from .cache import (
     fingerprint_records,
     shared_cache,
 )
+from .costmodel import (
+    DEADLINE_HEADROOM,
+    overlap_density,
+    stage_seconds,
+    stage_units,
+)
 from .errors import EvaluationError, QueryError
 from .exact import ExactEvaluator, supports_exact
 from .linext import count_prefixes, enumerate_prefixes
@@ -73,15 +79,8 @@ from .montecarlo import (
     compile_plan,
     select_top_rank_candidates,
 )
-from .costmodel import (
-    CostModel,
-    PlanFeatures,
-    overlap_density,
-    stage_key,
-)
 from .numeric import wilson_half_width
 from .parallel import BlockPool, resolve_workers
-from .planner import QueryPlan, QueryPlanner
 from .ppo import ProbabilisticPartialOrder
 from .pruning import shrink_database
 from .queries import (
@@ -178,14 +177,6 @@ class _EvalContext:
     diagnostics: Dict[str, Any] = field(default_factory=dict)
     pruned_size: int = 0
     used: str = ""
-    # Planner state: the plan built for this query (auto only), the
-    # cost model it consulted (for post-run feedback), the sample count
-    # a covered-block plan substituted for the request, and per-stage
-    # wall seconds measured by _run_stages for the fitting loop.
-    plan: Optional[QueryPlan] = None
-    plan_model: Optional[CostModel] = None
-    plan_samples: Optional[int] = None
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
 
 class RankingEngine:
@@ -239,8 +230,11 @@ class RankingEngine:
         ladder exact → (MCMC, for TOP-k) → Monte-Carlo → score-median
         baseline instead of raising, recording a
         :class:`DegradationEvent` per sacrificed stage on the result;
-        Monte-Carlo stages return best-so-far partial estimates with a
-        Wilson confidence half-width when the budget drains mid-run.
+        exact and MCMC rungs whose static price does not fit the
+        remaining deadline are skipped before they start (see
+        :meth:`_ladder`), and Monte-Carlo stages return best-so-far
+        partial estimates with a Wilson confidence half-width when the
+        budget drains mid-run.
     cache:
         The computation cache backing this engine (see
         :mod:`repro.core.cache`). ``None`` (default) gives the engine a
@@ -270,19 +264,6 @@ class RankingEngine:
         :func:`~repro.core.metrics.global_registry`; pass a private
         registry for isolated accounting. Metrics are always on — their
         cost is a few dictionary increments per query.
-    planner:
-        Whether ``method="auto"`` consults the cost-model planner
-        (:mod:`repro.core.planner`) before running. ``True`` (default)
-        uses a default-tuned :class:`~repro.core.planner.QueryPlanner`;
-        pass an instance for custom headroom, or ``False`` for the
-        purely reactive ladder. Unbudgeted answers are byte-identical
-        either way — without a live budget the planner only annotates;
-        under one it skips ladder stages predicted to blow the budget
-        (each skip recorded as a :class:`DegradationEvent` with a
-        ``planner:`` reason) and may serve a covered rank-count block
-        at reduced sample count, flagged partial. Fitted cost
-        coefficients live in the computation cache, keyed per database
-        fingerprint.
     """
 
     def __init__(
@@ -302,7 +283,6 @@ class RankingEngine:
         cache: Union[ComputationCache, str, None] = None,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        planner: Union[bool, QueryPlanner] = True,
     ) -> None:
         if not records:
             raise QueryError("cannot rank an empty database")
@@ -325,10 +305,6 @@ class RankingEngine:
         self.copula = copula
         self.trace = trace
         self._metrics = metrics if metrics is not None else global_registry()
-        if isinstance(planner, QueryPlanner):
-            self.planner: Optional[QueryPlanner] = planner
-        else:
-            self.planner = QueryPlanner() if planner else None
         if copula is not None and copula.dimension != len(self.records):
             raise QueryError(
                 f"copula dimension {copula.dimension} does not match "
@@ -707,22 +683,36 @@ class RankingEngine:
         subset: Sequence[UncertainRecord],
         fp: str,
         depth: Optional[int],
-    ) -> Tuple[str, List[str]]:
-        """``(method, stage names)`` that ``method`` runs for ``kind``.
+        budget: Optional[Budget] = None,
+    ) -> Tuple[str, List[str], Dict[str, str]]:
+        """``(method, stage names, skipped)`` of ``method`` for ``kind``.
 
         The one place the ladder policy lives: the copula guard, the
         exact rung's admission test (densities plus the record limit,
         or — for TOP-k — a prefix space within the enumeration limit),
-        and method validation. ``auto`` (after the copula guard) yields
-        the ladder in order; any other method yields its single stage.
+        method validation, and the deadline check. ``auto`` (after the
+        copula guard) yields the ladder in order; any other method
+        yields its single stage.
+
+        Under a live ``budget``, ``auto`` also drops the leading exact
+        and MCMC rungs that cannot finish: one whose static price
+        (:meth:`_price`) exceeds ``DEADLINE_HEADROOM`` of the remaining
+        time, or an exact TOP-k rung whose prefix space exceeds the
+        budget's enumeration allowance. ``skipped`` maps each dropped
+        rung, in ladder order, to the reason; all of them precede the
+        returned names. Dropping stops at the first rung that fits, the
+        rest being its fallbacks, so Monte-Carlo and the baseline are
+        never dropped. An expired budget drops nothing here: its rungs
+        are skipped by :meth:`_run_stages`.
         """
         method = self._guard_copula(method)
         label, stages = _STAGES[kind]
         if method != "auto":
             if method not in stages:
                 raise QueryError(f"unknown method {method!r} for {label}")
-            return method, [method]
+            return method, [method], {}
         exact = supports_exact(subset)
+        space: Optional[int] = None
         if exact and kind in _TOPK:
             space = self._prefix_space(fp, subset, depth)
             exact = (
@@ -730,7 +720,69 @@ class RankingEngine:
             )
         elif exact:
             exact = len(subset) <= self.exact_record_limit
-        return method, [name for name in stages if exact or name != "exact"]
+        names = [name for name in stages if exact or name != "exact"]
+        skipped: Dict[str, str] = {}
+        if budget is None or budget.expired():
+            return method, names, skipped
+        remaining = budget.time_remaining()
+        enumerable = budget.enumeration_remaining()
+        for name in names:
+            if name not in ("exact", "mcmc"):
+                break
+            if (
+                name == "exact"
+                and space is not None
+                and enumerable is not None
+                and space > enumerable
+            ):
+                skipped[name] = (
+                    f"prefix space {space} exceeds enumeration "
+                    f"allowance {enumerable}"
+                )
+                continue
+            if remaining is None:
+                break
+            predicted = self._price(kind, name, subset, fp, depth)
+            allowance = DEADLINE_HEADROOM * remaining
+            if predicted <= allowance:
+                break
+            skipped[name] = (
+                f"predicted {predicted:.4f}s exceeds "
+                f"{allowance:.4f}s allowance"
+            )
+        return method, names[len(skipped):], skipped
+
+    def _price(
+        self,
+        kind: str,
+        stage: str,
+        subset: Sequence[UncertainRecord],
+        fp: str,
+        depth: int,
+    ) -> float:
+        """Static predicted seconds of one ``kind`` rung over ``subset``.
+
+        A pure function of the records, the depth and the engine's
+        settings (:mod:`repro.core.costmodel`), so the deadline check
+        never depends on what this engine ran before.
+        """
+        space = (
+            self._prefix_space(fp, subset, depth)
+            if stage == "exact" and kind in _TOPK
+            else None
+        )
+        units = stage_units(
+            kind,
+            stage,
+            len(subset),
+            depth,
+            density=overlap_density(subset),
+            prefix_space=space,
+            samples=self.samples,
+            chains=self.mcmc_chains,
+            steps=self.mcmc_steps,
+        )
+        return stage_seconds(kind, stage, units)
 
     def _dispatch(
         self,
@@ -739,22 +791,16 @@ class RankingEngine:
         subset: Sequence[UncertainRecord],
         fp: str,
         depth: int,
-        requested: int,
         runners: Dict[str, Callable[[], List]],
     ) -> List:
-        """Run ``ctx.method``'s stages for ``kind`` (planned when auto)."""
-        _, names = self._ladder(kind, ctx.method, subset, fp, depth)
-        stages = self._apply_plan(
-            ctx,
-            kind,
-            [(name, runners[name]) for name in names],
-            fp,
-            subset,
-            depth,
-            requested,
+        """Run ``ctx.method``'s stages for ``kind``; record dropped rungs."""
+        _, names, skipped = self._ladder(
+            kind, ctx.method, subset, fp, depth, ctx.budget
         )
+        for name, reason in skipped.items():
+            ctx.events.append(DegradationEvent(name, "skipped", reason))
         ctx.used, answers = self._run_stages(
-            stages, ctx.budget, ctx.events, timings=ctx.stage_seconds
+            [(name, runners[name]) for name in names], ctx.budget, ctx.events
         )
         return answers
 
@@ -818,7 +864,6 @@ class RankingEngine:
         stages: Sequence[Tuple[str, Callable[[], List]]],
         budget: Optional[Budget],
         events: List[DegradationEvent],
-        timings: Optional[Dict[str, float]] = None,
     ) -> Tuple[str, List]:
         """Drive the degradation ladder over ``stages`` in order.
 
@@ -832,24 +877,17 @@ class RankingEngine:
         when the budget is already expired; the baseline rung is free
         and always allowed to run. Each attempted stage runs under a
         child span named after it, so traces show degraded attempts
-        alongside the rung that finally answered. ``timings``, when
-        given, collects per-attempt wall seconds (degraded attempts
-        included) — the planner's cost-model feedback loop.
+        alongside the rung that finally answered.
         """
 
         def attempt(name: str, thunk: Callable[[], List]) -> List:
             with span(name) as stage_span:
-                started = time.perf_counter()
                 try:
                     answers = thunk()
                 except EvaluationError:
-                    if timings is not None:
-                        timings[name] = time.perf_counter() - started
                     if stage_span is not None:
                         stage_span.set(outcome="degraded")
                     raise
-                if timings is not None:
-                    timings[name] = time.perf_counter() - started
                 if stage_span is not None:
                     stage_span.set(outcome="ok")
                 return answers
@@ -894,109 +932,6 @@ class RankingEngine:
         if last_error is not None:
             raise last_error
         raise EvaluationError("no evaluation stage available")
-
-    # ------------------------------------------------------------------
-    # cost-model planning
-    # ------------------------------------------------------------------
-
-    def _overlap_density(
-        self, fp: str, subset: Sequence[UncertainRecord]
-    ) -> float:
-        """Cached interval-overlap density for a pruned subset."""
-        return self.cache.artifact(
-            "overlap", fp, lambda: overlap_density(subset)
-        )
-
-    def _plan_features(
-        self,
-        kind: str,
-        fp: str,
-        pruned: Sequence[UncertainRecord],
-        depth: int,
-        requested: int,
-        ctx: _EvalContext,
-    ) -> PlanFeatures:
-        """The deterministic feature vector the planner consults.
-
-        Pure function of (records, spec, cache state): size and overlap
-        density of the pruned subset, requested depth and samples,
-        rank-count cache coverage for the query's own sampling stream,
-        and — for the prefix/set families — the (capped) enumeration
-        space and MCMC parameters.
-        """
-        n = len(pruned)
-        covered = 0
-        prefix_space: Optional[int] = None
-        if kind in _TOPK:
-            prefix_space = self._prefix_space(fp, pruned, depth)
-        else:
-            covered = self.cache.rank_count_coverage(
-                fp,
-                self._backend_key(ctx.sampler_seed),
-                requested,
-                max(1, min(depth, n)),
-            )
-        return PlanFeatures(
-            kind=kind,
-            n=n,
-            depth=depth,
-            requested_samples=requested,
-            covered_samples=covered,
-            overlap_density=self._overlap_density(fp, pruned),
-            exact_supported=supports_exact(pruned),
-            prefix_space=prefix_space,
-            mcmc_chains=self.mcmc_chains if kind in _TOPK else 0,
-            mcmc_steps=self.mcmc_steps if kind in _TOPK else 0,
-        )
-
-    def _apply_plan(
-        self,
-        ctx: _EvalContext,
-        kind: str,
-        stages: List[Tuple[str, Callable[[], List]]],
-        fp: str,
-        pruned: Sequence[UncertainRecord],
-        depth: int,
-        requested: int,
-    ) -> List[Tuple[str, Callable[[], List]]]:
-        """Consult the planner for an ``auto`` ladder; prune if budgeted.
-
-        With no planner (disabled) or a non-auto method the ladder is
-        returned untouched. Otherwise the plan is recorded on the
-        context for post-run feedback; without a live budget that is
-        all that happens — execution is byte-identical to planner-off.
-        Under a live budget, stages the plan marked ``skipped`` are
-        removed before :meth:`_run_stages` ever starts them, each
-        recorded as a ``planner:``-reasoned skip event, and a
-        covered-block sample reduction (if any) is staged via
-        ``ctx.plan_samples``.
-        """
-        if self.planner is None or ctx.method != "auto" or not stages:
-            return stages
-        model = self.cache.cost_model(fp)
-        features = self._plan_features(
-            kind, fp, pruned, depth, requested, ctx
-        )
-        plan = self.planner.plan(
-            model, features, [name for name, _ in stages], ctx.budget
-        )
-        ctx.plan = plan
-        ctx.plan_model = model
-        if not plan.budgeted:
-            return stages
-        ctx.plan_samples = plan.planned_samples
-        kept: List[Tuple[str, Callable[[], List]]] = []
-        for name, thunk in stages:
-            entry = plan.stage_named(name)
-            if entry is not None and entry.decision == "skipped":
-                ctx.events.append(
-                    DegradationEvent(
-                        name, "skipped", f"planner: {entry.reason}"
-                    )
-                )
-                continue
-            kept.append((name, thunk))
-        return kept
 
     # ------------------------------------------------------------------
     # the query dispatcher
@@ -1068,7 +1003,6 @@ class RankingEngine:
             root.set(method_used=ctx.used, pruned_size=ctx.pruned_size)
             root.end()
         elapsed = time.perf_counter() - start
-        self._finish_plan(spec, ctx)
         self._metrics.inc("queries_total", query=spec.kind, method=ctx.used)
         self._metrics.observe(
             "query_duration_seconds",
@@ -1097,41 +1031,6 @@ class RankingEngine:
             cache=self._cache_delta(stats_before),
             trace=root,
         )
-
-    def _finish_plan(self, spec: Query, ctx: _EvalContext) -> None:
-        """Close the planning loop for one query (no-op when unplanned).
-
-        Feeds measured stage timings back into the fingerprint's cost
-        model, emits the ``planner_*`` counters, and attaches the
-        schedule-invariant plan block to the result diagnostics. Runs
-        after the evaluator so it survives evaluators that replace
-        ``ctx.diagnostics`` wholesale (the MCMC paths do).
-        """
-        plan = ctx.plan
-        if plan is None or self.planner is None or ctx.plan_model is None:
-            return
-        mispredicted = self.planner.feedback(
-            ctx.plan_model, plan, ctx.stage_seconds, ctx.used
-        )
-        self._metrics.inc(
-            "planner_plans_total",
-            query=spec.kind,
-            budgeted=str(plan.budgeted).lower(),
-        )
-        for entry in plan.stages:
-            if entry.decision == "skipped":
-                self._metrics.inc(
-                    "planner_stage_skips_total", stage=entry.stage
-                )
-        if mispredicted:
-            self._metrics.inc(
-                "planner_mispredictions_total", query=spec.kind
-            )
-        if plan.planned_samples is not None:
-            self._metrics.inc(
-                "planner_sample_reductions_total", query=spec.kind
-            )
-        ctx.diagnostics["plan"] = plan.diagnostics_dict()
 
     # ------------------------------------------------------------------
     # RECORD-RANK queries (Def. 4)
@@ -1209,26 +1108,16 @@ class RankingEngine:
 
         def run_montecarlo() -> List:
             sampler = self._sampler(subset, fp, ctx.sampler_seed)
-            # A budgeted plan may serve straight from a covered
-            # rank-count block at its (smaller) sample count instead of
-            # drawing a fresh top-up; the result is flagged partial
-            # below, exactly like a budget-clipped run of that count.
-            effective = requested
-            if (
-                ctx.plan_samples is not None
-                and ctx.plan_samples < requested
-            ):
-                effective = ctx.plan_samples
             # The cache — not the block threads — takes the sample
             # grant for whatever cached blocks cannot cover, so the
             # number of fresh samples drawn is a pure function of
             # budget state and cache contents, never of scheduling
             # (the determinism-under-budget contract).
-            with span("sample", requested=effective) as sample_span:
+            with span("sample", requested=requested) as sample_span:
                 sc = self._rank_counts(
                     fp,
                     sampler,
-                    effective,
+                    requested,
                     max_rank=depth,
                     budget=budget,
                     sampler_seed=ctx.sampler_seed,
@@ -1240,19 +1129,15 @@ class RankingEngine:
                     "sample budget exhausted "
                     f"({sc.reason or 'samples'})"
                 )
-            clipped: Optional[str] = None
             if sc.partial:
-                clipped = (
-                    sc.reason or f"sample cap granted {sc.done}/{effective}"
-                )
-            elif effective < requested:
-                clipped = (
-                    f"planner served covered block {sc.done}/{requested}"
-                )
-            if clipped is not None:
                 ctx.partial = True
                 ctx.events.append(
-                    DegradationEvent("montecarlo", "clipped", clipped)
+                    DegradationEvent(
+                        "montecarlo",
+                        "clipped",
+                        sc.reason
+                        or f"sample cap granted {sc.done}/{requested}",
+                    )
                 )
             with span("aggregate"):
                 return project(sc.counts / sc.done, sc.done)
@@ -1275,7 +1160,7 @@ class RankingEngine:
             "montecarlo": run_montecarlo,
             "baseline": run_baseline,
         }
-        return self._dispatch(kind, ctx, subset, fp, depth, requested, runners)
+        return self._dispatch(kind, ctx, subset, fp, depth, runners)
 
     def _eval_top_rank(
         self, spec: Query, ctx: _EvalContext
@@ -1330,7 +1215,7 @@ class RankingEngine:
         self._refresh_table()
         if all(rec.record_id != record_id for rec in self.records):
             raise QueryError(f"record {record_id!r} is not in this database")
-        _, (method, *_) = self._ladder(
+        _, (method, *_), _ = self._ladder(
             "rank_distribution", method, self.records, self._db_fp, None
         )
         if method == "exact":
@@ -1706,7 +1591,6 @@ class RankingEngine:
             pruned,
             fp,
             k_eff,
-            base_samples,
             {
                 "exact": run_exact,
                 "mcmc": run_mcmc,
@@ -1750,10 +1634,11 @@ class RankingEngine:
         k:
             The query's dominance level.
         deadline_ms:
-            Optional deadline the planner should plan against, in
+            Optional deadline to check the ladder against, in
             milliseconds — the same value the serving layer passes per
-            request. Affects only the ``plan`` block: with a deadline
-            the block shows which stages the planner would skip.
+            request. With a deadline, ``method`` and the ``plan`` block
+            show the rungs a query starting with that much time left
+            would skip.
 
         Returns
         -------
@@ -1762,9 +1647,11 @@ class RankingEngine:
             evaluation, the (capped) size of the enumeration space,
             the method the ``"auto"`` policy would select, an
             ``observability`` block (tracing default plus a metrics
-            snapshot), and — when the planner is enabled — a ``plan``
-            block with the cost model's predicted seconds per ladder
-            stage next to the observed actuals it has fitted so far.
+            snapshot), and a ``plan`` block listing every rung of the
+            ``auto`` ladder (:meth:`_ladder`) with its static predicted
+            seconds and why it is kept or skipped. The plan block is a
+            pure function of the records, the query and the deadline:
+            queries this engine ran before do not change it.
         """
         if query not in ("utop_rank", "utop_prefix", "utop_set"):
             raise QueryError(f"unknown query kind {query!r}")
@@ -1797,70 +1684,43 @@ class RankingEngine:
             plan["truncated"] = (
                 space is None or space > self.prefix_enumeration_limit
             )
-        method, names = self._ladder(query, "auto", pruned, fp, depth)
+        # A clock that never advances: the whole deadline remains, as at
+        # the start of a query, however long explaining takes.
+        budget = (
+            Budget.for_deadline(deadline_ms / 1000.0, clock=lambda: 0.0)
+            if deadline_ms is not None
+            else None
+        )
+        method, names, skipped = self._ladder(
+            query, "auto", pruned, fp, depth, budget
+        )
         plan["method"] = names[0]
         if query == "utop_rank":
             plan["samples"] = self.samples
         elif names[0] == "mcmc":
             plan["mcmc_chains"] = self.mcmc_chains
             plan["mcmc_steps"] = self.mcmc_steps
-        # Only an auto ladder is planned; the copula maps auto onto a
-        # single forced stage, which the query runs unplanned.
+        # The copula maps auto onto one forced stage: no ladder to show.
         plan["plan"] = (
-            self._explain_plan(query, fp, pruned, depth, names, deadline_ms)
+            {
+                "deadline_ms": deadline_ms,
+                "stages": [
+                    {
+                        "stage": name,
+                        "predicted_seconds": self._price(
+                            query, name, pruned, fp, depth
+                        ),
+                        "decision": "skipped" if name in skipped else "kept",
+                        "reason": skipped.get(name)
+                        or ("runs first" if name == names[0] else "fallback"),
+                    }
+                    for name in [*skipped, *names]
+                ],
+            }
             if method == "auto"
             else None
         )
         return plan
-
-    def _explain_plan(
-        self,
-        kind: str,
-        fp: str,
-        pruned: Sequence[UncertainRecord],
-        depth: int,
-        names: List[str],
-        deadline_ms: Optional[float],
-    ) -> Optional[dict]:
-        """The ``plan`` block of :meth:`explain` (None: planner off).
-
-        Builds the same plan :meth:`query` would for the ``auto``
-        ladder ``names`` — same features, same fitted model — and pairs
-        each stage's predicted seconds with the observed per-stage
-        actuals the model has accumulated for this fingerprint.
-        """
-        if self.planner is None:
-            return None
-        ctx = _EvalContext(
-            budget=None,
-            method="auto",
-            sampler_seed=self._sampler_seed,
-            mcmc_seed=self._mcmc_seed,
-        )
-        model = self.cache.cost_model(fp)
-        features = self._plan_features(
-            kind, fp, pruned, depth, self.samples, ctx
-        )
-        budget = (
-            Budget.for_deadline(deadline_ms / 1000.0)
-            if deadline_ms is not None
-            else None
-        )
-        computed = self.planner.plan(model, features, names, budget)
-        stages = []
-        for entry in computed.stages:
-            observed = model.observed_stats(stage_key(kind, entry.stage))
-            payload = entry.to_dict()
-            payload["observed"] = observed
-            stages.append(payload)
-        return {
-            "chosen": computed.chosen,
-            "budgeted": computed.budgeted,
-            "deadline_ms": deadline_ms,
-            "planned_samples": computed.planned_samples,
-            "features": features.to_dict(),
-            "stages": stages,
-        }
 
     # ------------------------------------------------------------------
     # RANK-AGGREGATION queries (Def. 7)

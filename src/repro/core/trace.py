@@ -38,10 +38,21 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 __all__ = [
     "Span",
+    "StageStats",
     "accumulate",
     "activate",
     "annotate",
@@ -51,6 +62,7 @@ __all__ = [
     "span",
     "span_under",
     "stage_durations",
+    "summarize_stages",
     "walk_spans",
 ]
 
@@ -312,10 +324,7 @@ def walk_spans(node: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
     """Depth-first iterator over an exported span tree.
 
     Accepts the :meth:`Span.to_dict` shape (``name`` / ``wall_seconds``
-    / ``children``) and yields every node, root first. The cost-model
-    fitter and the ``python -m repro.trace --stats`` aggregation both
-    consume this walk so they stay byte-for-byte in agreement about
-    which spans exist.
+    / ``children``) and yields every node, root first.
     """
     yield node
     for child in node.get("children") or []:
@@ -326,10 +335,8 @@ def stage_durations(node: Dict[str, Any]) -> Dict[str, List[float]]:
     """Per-stage wall-clock durations across one exported span tree.
 
     Groups every span's ``wall_seconds`` by span name, preserving
-    encounter order within a name. This is the raw material both for
-    ``python -m repro.trace --stats`` and for the empirical cost model
-    (:mod:`repro.core.costmodel`), which fits per-stage rates from the
-    same aggregation.
+    encounter order within a name: the raw material for
+    :func:`summarize_stages` and ``python -m repro.trace --stats``.
     """
     grouped: Dict[str, List[float]] = {}
     for current in walk_spans(node):
@@ -338,6 +345,52 @@ def stage_durations(node: Dict[str, Any]) -> Dict[str, List[float]]:
             float(current.get("wall_seconds") or 0.0)
         )
     return grouped
+
+
+@dataclass(frozen=True)
+class StageStats:
+    """Count / total / p50 / max of one stage's observed durations."""
+
+    name: str
+    count: int
+    total_seconds: float
+    p50_seconds: float
+    max_seconds: float
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "name": self.name,
+            "count": self.count,
+            "total_seconds": self.total_seconds,
+            "p50_seconds": self.p50_seconds,
+            "max_seconds": self.max_seconds,
+        }
+
+
+def _median(values: Sequence[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2 == 1:
+        return ordered[mid]
+    return 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+def summarize_stages(
+    durations: Mapping[str, Sequence[float]]
+) -> Dict[str, StageStats]:
+    """Aggregate per-stage duration lists into :class:`StageStats`."""
+    summary: Dict[str, StageStats] = {}
+    for name, values in durations.items():
+        if not values:
+            continue
+        summary[name] = StageStats(
+            name=name,
+            count=len(values),
+            total_seconds=float(sum(values)),
+            p50_seconds=float(_median(values)),
+            max_seconds=float(max(values)),
+        )
+    return summary
 
 
 # ----------------------------------------------------------------------

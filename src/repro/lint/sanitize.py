@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.lint.sanitize --repeats 3
     python -m repro.lint.sanitize --workers 1,2,4 --jitter 500 --json
-    python -m repro.lint.sanitize --planner on,off
     python -m repro.lint.sanitize --mutate off,on
 
 Exit code 0 when every perturbed run is byte-identical to the
@@ -22,20 +21,6 @@ from typing import List, Optional, Sequence
 from .sanitizer import DEFAULT_WORKER_GRID, run_sanitizer
 
 __all__ = ["main"]
-
-
-def _parse_planner(raw: str) -> List[str]:
-    grid = [part.strip() for part in raw.split(",") if part.strip()]
-    if not grid:
-        raise argparse.ArgumentTypeError(
-            "planner must contain at least one of on/off"
-        )
-    for name in grid:
-        if name not in ("on", "off"):
-            raise argparse.ArgumentTypeError(
-                f"unknown planner setting {name!r} (expected on/off)"
-            )
-    return grid
 
 
 def _parse_mutate(raw: str) -> List[str]:
@@ -100,14 +85,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated worker grid (default: 1,2,4)",
     )
     parser.add_argument(
-        "--planner",
-        type=_parse_planner,
-        default=["on", "off"],
-        help="comma-separated planner grid asserting byte-identical "
-        "answers with planning enabled vs the static reactive ladder "
-        "(default: on,off)",
-    )
-    parser.add_argument(
         "--mutate",
         type=_parse_mutate,
         default=["off", "on"],
@@ -154,7 +131,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         records=args.records,
         samples=args.samples,
         worker_grid=args.workers,
-        planner_grid=args.planner,
         mutate_grid=args.mutate,
         jitter_us=args.jitter,
         seed=args.seed,

@@ -16,12 +16,6 @@ and cache temperature. It replays a seeded mixed-query workload
   multi-block UTop-Rank query makes the block pool draw concurrently);
 - twice per engine, so the second pass answers from a warm
   :class:`~repro.core.cache.ComputationCache`;
-- across a planner grid (the CLI's ``--planner`` flag defaults to
-  ``on,off``) asserting the cost-model planner changes nothing about
-  unbudgeted answers: planning on must be byte-identical to the purely
-  reactive static ladder (the planner's per-result ``plan`` diagnostic
-  block is stripped before comparison — it is the one field that only
-  exists on the planning side);
 - across a mutation grid (the CLI's ``--mutate`` flag defaults to
   ``off,on``) asserting delta-aware incremental maintenance is
   answer-invisible: the ``on`` cells build the engine over an
@@ -85,7 +79,6 @@ from repro.core.trace import set_span_start_hook
 
 __all__ = [
     "DEFAULT_MUTATE_GRID",
-    "DEFAULT_PLANNER_GRID",
     "DEFAULT_WORKER_GRID",
     "Divergence",
     "SanitizerReport",
@@ -104,12 +97,6 @@ _LCG_INC = 1442695040888963407
 
 #: Worker settings exercised per repeat: serial, small pool, wide pool.
 DEFAULT_WORKER_GRID: Tuple[int, ...] = (1, 2, 4)
-
-#: Planner settings exercised per repeat. The library default keeps
-#: tier-1 runs fast (planning on, the engine default); the sanitizer
-#: CLI widens this to ``on,off`` so release checks assert planning
-#: changes nothing about unbudgeted answers.
-DEFAULT_PLANNER_GRID: Tuple[str, ...] = ("on",)
 
 #: Mutation settings exercised per repeat. The library default keeps
 #: tier-1 runs fast (direct records only); the sanitizer CLI widens
@@ -314,19 +301,11 @@ def _strip_timings(value: Any) -> Any:
 
 
 def canonical_result(result: QueryResult) -> Dict[str, Any]:
-    """The comparable rendition of a result: everything but timings.
-
-    The planner's ``plan`` diagnostic block is dropped alongside the
-    timing fields: it exists only when planning is enabled, so keeping
-    it would make the planner on/off axis trivially diverge on a field
-    that is advisory metadata, not part of the answer.
-    """
+    """The comparable rendition of a result: everything but timings."""
     data = result.to_dict()
     for key in _VOLATILE_KEYS:
         data.pop(key, None)
-    diagnostics = dict(data.get("diagnostics") or {})
-    diagnostics.pop("plan", None)
-    data["diagnostics"] = _strip_timings(diagnostics)
+    data["diagnostics"] = _strip_timings(dict(data.get("diagnostics") or {}))
     return data
 
 
@@ -446,7 +425,6 @@ class SanitizerReport:
     repeats: int
     worker_grid: Tuple[int, ...]
     queries: int
-    planner_grid: Tuple[str, ...] = DEFAULT_PLANNER_GRID
     mutate_grid: Tuple[str, ...] = DEFAULT_MUTATE_GRID
     runs: int = 0
     comparisons: int = 0
@@ -468,7 +446,6 @@ class SanitizerReport:
             "ok": self.ok,
             "repeats": self.repeats,
             "worker_grid": list(self.worker_grid),
-            "planner_grid": list(self.planner_grid),
             "mutate_grid": list(self.mutate_grid),
             "queries": self.queries,
             "runs": self.runs,
@@ -495,7 +472,6 @@ class SanitizerReport:
             f"queries ({self.hash_seed_comparisons} against a "
             f"subprocess with another PYTHONHASHSEED), "
             f"workers={'/'.join(map(str, self.worker_grid))}, "
-            f"planner={'/'.join(self.planner_grid)}, "
             f"mutate={'/'.join(self.mutate_grid)}, "
             f"repeats={self.repeats}, "
             f"{self.jitter_calls} jitter sleep(s) injected",
@@ -529,7 +505,6 @@ def _execute(
     mcmc_steps: int,
     mcmc_chains: int,
     engine_seed: int,
-    planner: bool = True,
     mutate: bool = False,
 ) -> Tuple[_Execution, _Execution]:
     """Run the workload cold then warm on one freshly built engine.
@@ -551,7 +526,6 @@ def _execute(
             mcmc_chains=mcmc_chains,
             mcmc_steps=mcmc_steps,
             trace=True,
-            planner=planner,
         )
         restore()
     else:
@@ -563,7 +537,6 @@ def _execute(
             mcmc_chains=mcmc_chains,
             mcmc_steps=mcmc_steps,
             trace=True,
-            planner=planner,
         )
     try:
         passes: List[_Execution] = []
@@ -624,7 +597,6 @@ def run_sanitizer(
     records: int = 12,
     samples: int = 2000,
     worker_grid: Sequence[int] = DEFAULT_WORKER_GRID,
-    planner_grid: Sequence[str] = DEFAULT_PLANNER_GRID,
     mutate_grid: Sequence[str] = DEFAULT_MUTATE_GRID,
     jitter_us: int = 200,
     seed: int = 0,
@@ -636,20 +608,16 @@ def run_sanitizer(
 
     ``repeats`` counts perturbed replays *in addition to* the
     unperturbed baseline (repeat 0 runs with no jitter hook). Every
-    (repeat, workers, planner, mutate, cache-temperature) cell is
-    compared query-by-query against the baseline cell (repeat 0, first
-    worker setting, first planner setting, first mutate setting, cold
-    cache). After the grid, the baseline cell is replayed once in a
-    subprocess under a different ``PYTHONHASHSEED`` and compared the
-    same way (counted in ``hash_seed_comparisons``).
+    (repeat, workers, mutate, cache-temperature) cell is compared
+    query-by-query against the baseline cell (repeat 0, first worker
+    setting, first mutate setting, cold cache). After the grid, the
+    baseline cell is replayed once in a subprocess under a different
+    ``PYTHONHASHSEED`` and compared the same way (counted in
+    ``hash_seed_comparisons``).
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = tuple(int(w) for w in worker_grid) or DEFAULT_WORKER_GRID
-    planners = tuple(planner_grid) or DEFAULT_PLANNER_GRID
-    for name in planners:
-        if name not in ("on", "off"):
-            raise ValueError(f"unknown planner setting {name!r}")
     mutates = tuple(mutate_grid) or DEFAULT_MUTATE_GRID
     for name in mutates:
         if name not in ("on", "off"):
@@ -660,20 +628,16 @@ def run_sanitizer(
         repeats=repeats,
         worker_grid=grid,
         queries=len(queries),
-        planner_grid=planners,
         mutate_grid=mutates,
     )
 
-    def cell(
-        workers: int, planner_mode: str, mutate_mode: str
-    ) -> Dict[str, Any]:
+    def cell(workers: int, mutate_mode: str) -> Dict[str, Any]:
         return {
             "workers": workers,
             "samples": samples,
             "mcmc_steps": mcmc_steps,
             "mcmc_chains": mcmc_chains,
             "engine_seed": 7,
-            "planner": planner_mode == "on",
             "mutate": mutate_mode == "on",
         }
 
@@ -687,26 +651,21 @@ def run_sanitizer(
         previous = set_span_start_hook(jitter)
         try:
             for workers in grid:
-                for planner_mode in planners:
-                    for mutate_mode in mutates:
-                        label = (
-                            f"repeat={repeat} workers={workers} "
-                            f"planner={planner_mode} "
-                            f"mutate={mutate_mode}"
-                        )
-                        cold, warm = _execute_all(
-                            label,
-                            database,
-                            k,
-                            **cell(workers, planner_mode, mutate_mode),
-                        )
-                        report.runs += 1
-                        if baseline is None:
-                            baseline = cold
-                        for execution in (cold, warm):
-                            if execution is baseline:
-                                continue
-                            _compare(report, baseline, execution, queries)
+                for mutate_mode in mutates:
+                    label = (
+                        f"repeat={repeat} workers={workers} "
+                        f"mutate={mutate_mode}"
+                    )
+                    cold, warm = _execute_all(
+                        label, database, k, **cell(workers, mutate_mode)
+                    )
+                    report.runs += 1
+                    if baseline is None:
+                        baseline = cold
+                    for execution in (cold, warm):
+                        if execution is baseline:
+                            continue
+                        _compare(report, baseline, execution, queries)
         finally:
             set_span_start_hook(previous)
         if jitter is not None:
@@ -714,7 +673,7 @@ def run_sanitizer(
     assert baseline is not None
     report.baseline_digest = answer_digest(baseline.encoded)
     replay = _replay_with_other_hash_seed(
-        records, k, cell(grid[0], planners[0], mutates[0])
+        records, k, cell(grid[0], mutates[0])
     )
     before = report.comparisons
     _compare(report, baseline, replay, queries)

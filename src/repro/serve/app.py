@@ -360,8 +360,9 @@ class RankingService:
             k = int(request.query.get("k", "1"))
         except ValueError as exc:
             raise HttpError(400, f"bad k: {request.query.get('k')!r}") from exc
-        # deadline_ms flows into the planner so the plan block shows
-        # exactly what a /query with the same deadline would run.
+        # deadline_ms flows into the ladder's deadline check so the plan
+        # block shows exactly what a /query with the same deadline would
+        # run.
         raw_deadline = request.query.get("deadline_ms")
         deadline_ms: Optional[float] = None
         if raw_deadline is not None:
@@ -498,11 +499,6 @@ class RankingService:
                 "breaker": breaker.state,
                 "overrun": overran,
                 "degraded": bool(result.degradation) or result.partial,
-                "planned": (
-                    result.diagnostics.get("plan", {}).get("chosen")
-                    if isinstance(result.diagnostics, dict)
-                    else None
-                ),
             },
         }
         self.metrics.inc("serve_queries_total", kind=kind, role=role)

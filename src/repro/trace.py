@@ -34,8 +34,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from .core.costmodel import summarize_stages
-from .core.trace import render_trace, stage_durations
+from .core.trace import render_trace, stage_durations, summarize_stages
 
 __all__ = ["main", "render_stats"]
 
@@ -71,9 +70,9 @@ def render_stats(node: Dict[str, Any]) -> str:
     """Per-stage duration summary of one span tree, as a table.
 
     Aggregates every span's wall time by span name —
-    count / total / p50 / max — using the exact aggregation the
-    cost-model fitter consumes (:func:`repro.core.trace.stage_durations`
-    + :func:`repro.core.costmodel.summarize_stages`), sorted by total
+    count / total / p50 / max — with
+    :func:`repro.core.trace.stage_durations` and
+    :func:`repro.core.trace.summarize_stages`, sorted by total
     descending so the dominant stage leads.
     """
     summary = summarize_stages(stage_durations(node))
@@ -124,8 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "summarize per-stage durations across the trace "
             "(count/total/p50/max per span name) instead of printing "
-            "the tree — the same aggregation the planner's cost-model "
-            "fitter uses"
+            "the tree"
         ),
     )
     args = parser.parse_args(argv)

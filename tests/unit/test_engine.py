@@ -343,7 +343,6 @@ class TestWorkersKnob:
                     data = engine.query(query).to_dict()
                     data.pop("elapsed", None)
                     data.pop("trace", None)
-                    data.get("diagnostics", {}).pop("plan", None)
                     out.append(encode_canonical(data))
                 return out
 

@@ -1,21 +1,20 @@
-"""Unit tests for the cost model and adaptive query planner.
+"""Unit tests for query planning: the ladder's static deadline check.
 
-Covers the three layers of the planning stack:
+Covers the two layers of planning a budgeted ``method="auto"`` query:
 
-- ``repro.core.costmodel`` — work-unit formulas, overlap density,
-  online rate fitting (first-observation replacement, EW blending,
-  geometric escalation on incomplete stages), stage summaries;
-- ``repro.core.planner`` — plan construction: annotation-only without
-  a live budget, deadline/enumeration pruning under one, the
-  never-prune floor (Monte-Carlo / baseline), covered-block sample
-  reduction, last-resort choice, misprediction feedback, determinism;
-- engine integration — unbudgeted byte-identity planner-on vs -off,
-  doomed-stage skipping under deadlines, covered-block serving,
-  ``diagnostics["plan"]``, ``explain()``'s plan block, and the
-  ``planner_*`` metrics.
+- ``repro.core.costmodel`` — work-unit formulas, overlap density and
+  the fixed per-unit prices a rung is checked against;
+- ``RankingEngine._ladder`` under a budget — deadline and enumeration
+  drops, the never-dropped floor (Monte-Carlo / baseline), expired
+  budgets left to the reactive ladder, and parity with every decision
+  of the online cost-model planner it replaced
+  (``data/ladder_admission.json``);
+- engine integration — doomed-rung skipping, the covered rank-count
+  block under a sample cap, and ``explain()``'s plan block, which
+  queries run before cannot change.
 
-Plus the read-only coverage probes the planner consumes
-(``RankingEngine.sampling_coverage`` /
+Plus the read-only coverage probes the serving layer's coalescer
+consumes (``RankingEngine.sampling_coverage`` /
 ``ComputationCache.rank_count_coverage``): empty caches, partial-block
 coverage straddling a top-up boundary, and version-bumped fingerprints
 after a table mutation.
@@ -23,6 +22,7 @@ after a table mutation.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,37 +31,23 @@ from repro.core.budget import Budget
 from repro.core.cache import SAMPLE_BLOCK, ComputationCache
 from repro.core.correlation import GaussianCopula
 from repro.core.costmodel import (
+    DEADLINE_HEADROOM,
     DEFAULT_UNIT_COSTS,
-    CostModel,
-    PlanFeatures,
     overlap_density,
-    stage_key,
+    stage_seconds,
     stage_units,
-    summarize_stages,
 )
 from repro.core.engine import RankingEngine
 from repro.core.errors import QueryError
 from repro.core.metrics import MetricsRegistry
-from repro.core.planner import QueryPlanner
 from repro.core.queries import Query
 from repro.core.records import uniform
+from repro.core.trace import walk_spans
 from repro.db.attributes import IntervalValue
 from repro.db.scoring import AttributeScore
 from repro.db.table import UncertainTable
 
-
-def make_features(**overrides):
-    base = dict(
-        kind="utop_rank",
-        n=20,
-        depth=5,
-        requested_samples=10_000,
-        covered_samples=0,
-        overlap_density=1.0,
-        exact_supported=True,
-    )
-    base.update(overrides)
-    return PlanFeatures(**base)
+FIXTURE = Path(__file__).parent / "data" / "ladder_admission.json"
 
 
 def overlapping_db(n=14, lo=0.0, width=30.0):
@@ -76,44 +62,68 @@ def disjoint_db(n=8):
     return [uniform(f"d{i}", 10.0 * i, 10.0 * i + 2.0) for i in range(n)]
 
 
+def frozen_budget(deadline_ms=None, **caps):
+    """A budget whose clock never advances: the whole deadline remains."""
+    if deadline_ms is None:
+        return Budget(clock=lambda: 0.0, **caps)
+    return Budget.for_deadline(
+        deadline_ms / 1000.0, clock=lambda: 0.0, **caps
+    )
+
+
+def ladder(engine, kind, depth, budget=None):
+    """``(kept names, skipped)`` of the auto ladder the query would run.
+
+    Resolves the pruned subset and depth exactly as the query does:
+    UTop-Rank keeps ``j``, TOP-k clamps ``k`` to the pruned size, and
+    Rank-Agg ranks every record.
+    """
+    if kind == "rank_aggregation":
+        subset, fp = engine.records, engine.database_fingerprint
+        depth = len(subset)
+    else:
+        subset, fp = engine._pruned_entry(depth)
+        if kind != "utop_rank":
+            depth = min(depth, len(subset))
+    _, names, skipped = engine._ladder(
+        kind, "auto", subset, fp, depth, budget
+    )
+    return names, skipped
+
+
 class TestStageUnits:
     def test_exact_rank_dp(self):
-        f = make_features()
-        assert stage_units(f, "exact") == pytest.approx(20 * 20 * 5)
+        assert stage_units("utop_rank", "exact", 20, 5) == pytest.approx(
+            20 * 20 * 5
+        )
 
     def test_exact_scales_with_overlap_density(self):
-        dense = make_features(overlap_density=1.0)
-        sparse = make_features(overlap_density=0.0)
-        assert stage_units(sparse, "exact") == pytest.approx(
-            0.1 * stage_units(dense, "exact")
-        )
+        dense = stage_units("utop_rank", "exact", 20, 5, density=1.0)
+        sparse = stage_units("utop_rank", "exact", 20, 5, density=0.0)
+        assert sparse == pytest.approx(0.1 * dense)
 
     def test_exact_prefix_uses_enumeration_space(self):
-        f = make_features(kind="utop_prefix", prefix_space=100)
-        assert stage_units(f, "exact") == pytest.approx(100 * 20)
+        units = stage_units("utop_prefix", "exact", 20, 5, prefix_space=100)
+        assert units == pytest.approx(100 * 20)
 
     def test_exact_prefix_unbounded_space_is_huge(self):
-        f = make_features(kind="utop_prefix", prefix_space=None)
-        assert stage_units(f, "exact") >= 1e9
+        units = stage_units("utop_prefix", "exact", 20, 5, prefix_space=None)
+        assert units >= 1e9
 
     def test_mcmc_units(self):
-        f = make_features(mcmc_chains=4, mcmc_steps=100)
-        assert stage_units(f, "mcmc") == pytest.approx(4 * 100 * 20)
+        units = stage_units("utop_prefix", "mcmc", 20, 5, chains=4, steps=100)
+        assert units == pytest.approx(4 * 100 * 20)
 
-    def test_montecarlo_counts_fresh_samples_only(self):
-        f = make_features(requested_samples=10_000, covered_samples=4_096)
-        assert stage_units(f, "montecarlo") == pytest.approx(
-            (10_000 - 4_096) * 20 + 20 * 5
-        )
-
-    def test_fully_covered_montecarlo_still_pays_aggregation(self):
-        f = make_features(requested_samples=10_000, covered_samples=4_096)
-        assert stage_units(f, "montecarlo", planned_samples=4_096) == (
-            pytest.approx(20 * 5)
-        )
+    def test_montecarlo_prices_every_requested_sample(self):
+        # Cache coverage is not consulted: a price depends on nothing
+        # the engine ran before. The aggregation pass is paid on top.
+        units = stage_units("utop_rank", "montecarlo", 20, 5, samples=10_000)
+        assert units == pytest.approx(10_000 * 20 + 20 * 5)
 
     def test_baseline_is_linear(self):
-        assert stage_units(make_features(), "baseline") == pytest.approx(20)
+        assert stage_units("utop_rank", "baseline", 20, 5) == pytest.approx(
+            20
+        )
 
 
 class TestOverlapDensity:
@@ -128,84 +138,19 @@ class TestOverlapDensity:
         assert overlap_density(disjoint_db(1)) == 0.0
 
 
-class TestSummarizeStages:
-    def test_summary_fields(self):
-        stats = summarize_stages(
-            {"montecarlo": [0.3, 0.1, 0.2], "prune": [0.05]}
-        )
-        mc = stats["montecarlo"]
-        assert mc.count == 3
-        assert mc.total_seconds == pytest.approx(0.6)
-        assert mc.p50_seconds == pytest.approx(0.2)
-        assert mc.max_seconds == pytest.approx(0.3)
-        assert stats["prune"].count == 1
-
-
 class TestCostModel:
-    KEY = stage_key("utop_rank", "exact")
-
     def test_cold_prediction_uses_prior(self):
-        model = CostModel()
-        assert model.predict(self.KEY, 1_000) == pytest.approx(
+        assert stage_seconds("utop_rank", "exact", 1_000) == pytest.approx(
             DEFAULT_UNIT_COSTS["exact"] * 1_000
         )
 
-    def test_first_completed_observation_replaces_prior(self):
-        model = CostModel()
-        model.observe(self.KEY, 1_000, 0.1)
-        assert model.rate(self.KEY) == pytest.approx(1e-4)
-        assert model.observations(self.KEY) == 1
-
-    def test_later_observations_blend_exponentially(self):
-        model = CostModel()
-        model.observe(self.KEY, 1_000, 0.1)
-        model.observe(self.KEY, 1_000, 0.2)
-        expected = 1e-4 + CostModel.ALPHA * (2e-4 - 1e-4)
-        assert model.rate(self.KEY) == pytest.approx(expected)
-
-    def test_incomplete_observation_escalates_geometrically(self):
-        model = CostModel()
-        prior = model.rate(self.KEY)
-        # The measured burn is far below the true cost (the budget
-        # killed the stage early): the rate must still double.
-        model.observe(self.KEY, 1_000_000, 0.001, completed=False)
-        assert model.rate(self.KEY) == pytest.approx(prior * 2.0)
-        model.observe(self.KEY, 1_000_000, 0.001, completed=False)
-        assert model.rate(self.KEY) == pytest.approx(prior * 4.0)
-        assert model.observations(self.KEY) == 0  # not "fit"
-
-    def test_incomplete_observation_is_a_lower_bound(self):
-        model = CostModel()
-        model.observe(self.KEY, 10, 100.0, completed=False)
-        # observed 10 s/unit dwarfs prior*2: keep the larger.
-        assert model.rate(self.KEY) == pytest.approx(10.0)
-
-    def test_nonpositive_seconds_ignored(self):
-        model = CostModel()
-        model.observe(self.KEY, 1_000, 0.0)
-        model.observe(self.KEY, 1_000, -1.0)
-        assert model.observations(self.KEY) == 0
-        assert model.rate(self.KEY) == pytest.approx(
-            DEFAULT_UNIT_COSTS["exact"]
-        )
-
-    def test_observed_stats(self):
-        model = CostModel()
-        assert model.observed_stats(self.KEY) is None
-        model.observe(self.KEY, 1_000, 0.1)
-        model.observe(self.KEY, 1_000, 0.3)
-        stats = model.observed_stats(self.KEY)
-        assert stats["count"] == 2
-        assert stats["total_seconds"] == pytest.approx(0.4)
-        assert stats["mean_seconds"] == pytest.approx(0.2)
-
     def test_kind_stage_prior_wins_over_stage_prior(self):
-        model = CostModel()
-        assert model.rate(self.KEY) == DEFAULT_UNIT_COSTS["exact"]
+        exact = stage_seconds("utop_rank", "exact", 1)
+        assert exact == DEFAULT_UNIT_COSTS["exact"]
         for kind in ("utop_prefix", "utop_set"):
-            key = stage_key(kind, "exact")
-            assert model.rate(key) == DEFAULT_UNIT_COSTS[key]
-            assert model.rate(key) != DEFAULT_UNIT_COSTS["exact"]
+            rate = stage_seconds(kind, "exact", 1)
+            assert rate == DEFAULT_UNIT_COSTS[f"{kind}:exact"]
+            assert rate != DEFAULT_UNIT_COSTS["exact"]
 
     def test_exact_topk_is_priced_as_enumeration(self):
         # Eight records survive pruning at k=2, and exact TOP-k over them
@@ -236,206 +181,185 @@ class TestCostModel:
         assert stages["exact"]["predicted_seconds"] < 0.05
 
     def test_units_floor_at_one(self):
-        model = CostModel()
-        assert model.predict(self.KEY, 0) == pytest.approx(
+        assert stage_seconds("utop_rank", "exact", 0) == pytest.approx(
             DEFAULT_UNIT_COSTS["exact"]
         )
 
 
-LADDER = ("exact", "montecarlo", "baseline")
-
-
 class TestQueryPlanner:
+    """``_ladder``'s deadline check: which rungs a budgeted query skips."""
+
     def test_no_budget_is_annotation_only(self):
-        plan = QueryPlanner().plan(CostModel(), make_features(), LADDER)
-        assert not plan.budgeted
-        assert plan.chosen == "exact"
-        assert [s.decision for s in plan.stages] == [
-            "chosen", "fallback", "fallback",
-        ]
-        assert plan.planned_samples is None
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        names, skipped = ladder(engine, "utop_prefix", 3)
+        assert names == ["exact", "mcmc", "montecarlo", "baseline"]
+        assert skipped == {}
+        # explain() still prices every rung; nothing is dropped.
+        plan = engine.explain("utop_prefix", 3)["plan"]
+        assert plan["deadline_ms"] is None
+        assert [s["decision"] for s in plan["stages"]] == ["kept"] * 4
+        assert all(s["predicted_seconds"] > 0 for s in plan["stages"])
 
     def test_deadline_prunes_doomed_exact(self):
-        # Prior predicts the n=200 depth=50 exact DP at ~10 s.
-        budget = Budget.for_deadline(0.1)
-        plan = QueryPlanner().plan(
-            CostModel(),
-            make_features(n=200, depth=50),
-            LADDER,
-            budget=budget,
+        # The depth-8 eta rung over 16 records is priced at ~10 ms,
+        # over 0.8 of a 5-ms deadline.
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        names, skipped = ladder(
+            engine, "utop_rank", 8, frozen_budget(deadline_ms=5)
         )
-        assert plan.budgeted
-        assert plan.chosen == "montecarlo"
-        exact = plan.stage_named("exact")
-        assert exact.decision == "skipped"
-        assert "allowance" in exact.reason
-        assert plan.stage_named("baseline").decision == "fallback"
+        assert names == ["montecarlo", "baseline"]
+        assert list(skipped) == ["exact"]
+        assert "allowance" in skipped["exact"]
 
     def test_montecarlo_and_baseline_never_pruned(self):
-        # Make even Monte-Carlo predicted far over the allowance.
-        features = make_features(n=100_000, requested_samples=10_000_000)
-        budget = Budget.for_deadline(0.001)
-        plan = QueryPlanner().plan(
-            CostModel(), features, LADDER, budget=budget
+        # Make even Monte-Carlo priced far over the allowance.
+        engine = RankingEngine(
+            overlapping_db(16), seed=0, samples=10_000_000
         )
-        assert plan.chosen == "montecarlo"
-        assert plan.stage_named("montecarlo").decision == "chosen"
+        explained = engine.explain("utop_prefix", 3, deadline_ms=1)
+        stages = {s["stage"]: s for s in explained["plan"]["stages"]}
+        assert stages["montecarlo"]["predicted_seconds"] > 0.001
+        assert stages["montecarlo"]["decision"] == "kept"
+        assert stages["baseline"]["decision"] == "kept"
+        assert explained["method"] == "montecarlo"
 
     def test_last_resort_when_everything_is_doomed(self):
-        budget = Budget.for_deadline(0.001)
-        plan = QueryPlanner().plan(
-            CostModel(),
-            make_features(mcmc_chains=10, mcmc_steps=3_000),
-            ("exact", "mcmc"),
-            budget=budget,
+        # Under 1 ms neither the 3,360-prefix enumeration nor the MCMC
+        # walk fits: Monte-Carlo is the first rung left.
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        names, skipped = ladder(
+            engine, "utop_prefix", 3, frozen_budget(deadline_ms=1)
         )
-        assert plan.chosen == "mcmc"
-        tail = plan.stage_named("mcmc")
-        assert tail.decision == "chosen"
-        assert "last resort" in tail.reason
+        assert list(skipped) == ["exact", "mcmc"]
+        assert names == ["montecarlo", "baseline"]
 
-    def test_enumeration_budget_prunes_exact_prefix(self):
-        features = make_features(kind="utop_prefix", prefix_space=None)
-        budget = Budget(max_enumeration=50)
-        plan = QueryPlanner().plan(
-            CostModel(), features, LADDER, budget=budget
+    def test_headroom_validation(self):
+        # The depth-8 eta rung over 16 records is priced at 10.24 ms: it
+        # fits 0.8 of 12.9 ms (10.32 ms) and not 0.8 of 12.7 ms.
+        assert 0.0 < DEADLINE_HEADROOM < 1.0
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        kept, _ = ladder(
+            engine, "utop_rank", 8, frozen_budget(deadline_ms=12.9)
         )
-        exact = plan.stage_named("exact")
-        assert exact.decision == "skipped"
-        assert "enumeration allowance" in exact.reason
-
-    def test_bounded_prefix_space_within_allowance_survives(self):
-        features = make_features(
-            kind="utop_prefix", prefix_space=10, n=4, depth=2
+        assert kept[0] == "exact"
+        _, skipped = ladder(
+            engine, "utop_rank", 8, frozen_budget(deadline_ms=12.7)
         )
-        budget = Budget(max_enumeration=50)
-        plan = QueryPlanner().plan(
-            CostModel(), features, LADDER, budget=budget
-        )
-        assert plan.stage_named("exact").decision == "chosen"
-
-    def test_covered_block_reduces_planned_samples(self):
-        features = make_features(covered_samples=5_000)
-        plan = QueryPlanner().plan(
-            CostModel(), features, LADDER, budget=Budget(max_samples=500)
-        )
-        assert plan.planned_samples == 5_000
-        assert plan.stage_named("montecarlo").planned_samples == 5_000
-
-    def test_small_covered_block_not_worth_serving(self):
-        features = make_features(covered_samples=500)
-        plan = QueryPlanner().plan(
-            CostModel(), features, LADDER, budget=Budget(max_samples=500)
-        )
-        assert plan.planned_samples is None
+        assert list(skipped) == ["exact"]
 
     def test_no_reduction_without_live_budget(self):
-        plan = QueryPlanner().plan(
-            CostModel(), make_features(covered_samples=5_000), LADDER
+        # A covered block never shrinks an unbudgeted request: the rung
+        # tops the cached block up to the full count, and the answer is
+        # the cold engine's.
+        db = overlapping_db(30)
+        engine = RankingEngine(db, seed=3)
+        engine.utop_rank(1, 5, method="montecarlo", samples=SAMPLE_BLOCK)
+        warm = engine.utop_rank(1, 5, samples=3 * SAMPLE_BLOCK, trace=True)
+        cold = RankingEngine(db, seed=3).utop_rank(
+            1, 5, samples=3 * SAMPLE_BLOCK
         )
-        assert plan.planned_samples is None
+        assert warm.method == "montecarlo"
+        assert not warm.partial
+        sample = next(
+            node for node in walk_spans(warm.trace.to_dict())
+            if node["name"] == "sample"
+        )
+        assert sample["attributes"]["done"] == 3 * SAMPLE_BLOCK
+        assert warm.answers == cold.answers
+
+    def test_enumeration_budget_prunes_exact_prefix(self):
+        # UTop-Prefix(3) over 16 overlapping records has 3,360 prefixes.
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        names, skipped = ladder(
+            engine, "utop_prefix", 3, frozen_budget(max_enumeration=50)
+        )
+        assert list(skipped) == ["exact"]
+        assert "enumeration allowance 50" in skipped["exact"]
+        # No deadline: the MCMC rung is not priced, so it runs first.
+        assert names[0] == "mcmc"
+
+    def test_bounded_prefix_space_within_allowance_survives(self):
+        engine = RankingEngine(overlapping_db(4), seed=0)
+        names, skipped = ladder(
+            engine, "utop_prefix", 2, frozen_budget(max_enumeration=50)
+        )
+        assert skipped == {}
+        assert names[0] == "exact"
 
     def test_born_expired_budget_left_to_reactive_ladder(self):
         budget = Budget.for_deadline(-1.0)
         assert budget.expired()
-        plan = QueryPlanner().plan(
-            CostModel(), make_features(), LADDER, budget=budget
-        )
-        assert not plan.budgeted
-        assert all(s.decision != "skipped" for s in plan.stages)
+        engine = RankingEngine(overlapping_db(16), seed=0)
+        names, skipped = ladder(engine, "utop_rank", 8, budget)
+        assert skipped == {}
+        assert names == ["exact", "montecarlo", "baseline"]
+        # _run_stages skips the rungs that need time, for the deadline.
+        result = engine.utop_rank(1, 8, budget=Budget.for_deadline(-1.0))
+        assert result.method == "baseline"
+        assert [(e.stage, e.action, e.reason) for e in result.degradation][
+            :2
+        ] == [
+            ("exact", "skipped", "deadline"),
+            ("montecarlo", "skipped", "deadline"),
+        ]
 
     def test_plan_is_deterministic(self):
-        model = CostModel()
-        model.observe(stage_key("utop_rank", "exact"), 2_000, 1.0)
         plans = [
-            QueryPlanner().plan(
-                model, make_features(), LADDER,
-                budget=Budget(max_samples=100),
-            ).to_dict()
-            for _ in range(2)
+            json.dumps(
+                RankingEngine(overlapping_db(16), seed=0).explain(
+                    kind, 3, deadline_ms=30
+                )["plan"],
+                sort_keys=True,
+            )
+            for kind in ("utop_rank", "utop_set", "utop_rank", "utop_set")
         ]
-        assert json.dumps(plans[0], sort_keys=True) == json.dumps(
-            plans[1], sort_keys=True
-        )
-
-    def test_feedback_records_misprediction(self):
-        model = CostModel()
-        planner = QueryPlanner()
-        features = make_features(n=4, depth=2)  # exact predicted cheap
-        plan = planner.plan(
-            model, features, LADDER, budget=Budget.for_deadline(60.0)
-        )
-        assert plan.chosen == "exact"
-        mispredicted = planner.feedback(
-            model, plan, {"exact": 0.5, "montecarlo": 0.01}, "montecarlo"
-        )
-        assert mispredicted and plan.mispredicted
-        exact = plan.stage_named("exact")
-        assert exact.actual_seconds == pytest.approx(0.5)
-        assert exact.completed is False
-        # The failed stage escalates; the completed stage fits.
-        assert model.rate(stage_key("utop_rank", "exact")) >= (
-            2.0 * DEFAULT_UNIT_COSTS["exact"]
-        )
-        assert model.observations(stage_key("utop_rank", "montecarlo")) == 1
-
-    def test_feedback_without_misprediction(self):
-        model = CostModel()
-        planner = QueryPlanner()
-        plan = planner.plan(
-            model, make_features(n=4, depth=2), LADDER,
-            budget=Budget.for_deadline(60.0),
-        )
-        assert not planner.feedback(model, plan, {"exact": 0.01}, "exact")
-        assert plan.stage_named("exact").completed is True
-
-    def test_headroom_validation(self):
-        with pytest.raises(ValueError):
-            QueryPlanner(headroom=0.0)
-        with pytest.raises(ValueError):
-            QueryPlanner(headroom=1.5)
+        assert plans[0] == plans[2]
+        assert plans[1] == plans[3]
 
 
-def canonical(result):
-    payload = result.to_dict()
-    for volatile in ("elapsed", "cache", "trace"):
-        payload.pop(volatile, None)
-    diagnostics = payload.get("diagnostics")
-    if isinstance(diagnostics, dict):
-        diagnostics.pop("plan", None)
-    return json.dumps(payload, sort_keys=True)
+class TestLadderParity:
+    """The static check against the online planner's cold decisions."""
+
+    TABLES = {
+        "overlapping_db(6)": lambda: overlapping_db(6),
+        "overlapping_db(12)": lambda: overlapping_db(12),
+        "overlapping_db(16)": lambda: overlapping_db(16),
+        "disjoint_db(8)": lambda: disjoint_db(8),
+    }
+
+    def test_static_check_reproduces_every_planner_cell(self):
+        cells = json.loads(FIXTURE.read_text())["cells"]
+        engines = {
+            table: RankingEngine(build(), seed=0)
+            for table, build in self.TABLES.items()
+        }
+        kinds = {cell["kind"] for cell in cells}
+        assert kinds == {
+            "utop_rank", "utop_prefix", "utop_set", "rank_aggregation",
+        }
+        assert {cell["table"] for cell in cells} == set(self.TABLES)
+        mismatches = []
+        for cell in cells:
+            budget = frozen_budget(**cell["budget"])
+            names, skipped = ladder(
+                engines[cell["table"]], cell["kind"], cell["depth"], budget
+            )
+            if (list(skipped) + names, list(skipped)) != (
+                cell["ladder"], cell["skipped"]
+            ):
+                mismatches.append((cell, names, list(skipped)))
+        assert mismatches == []
+        # The grid exercises both drop reasons and the keep path.
+        assert any(cell["skipped"] for cell in cells)
+        assert any(not cell["skipped"] for cell in cells)
 
 
 class TestEngineIntegration:
-    def test_unbudgeted_answers_identical_planner_on_vs_off(self):
-        db = overlapping_db(10)
-        on = RankingEngine(db, seed=3, samples=1_000, planner=True)
-        off = RankingEngine(db, seed=3, samples=1_000, planner=False)
-        for run in (
-            lambda e: e.utop_rank(1, 3, l=2),
-            lambda e: e.utop_prefix(2, l=1),
-            lambda e: e.rank_aggregation(),
-        ):
-            assert canonical(run(on)) == canonical(run(off))
-
-    def test_plan_diagnostics_only_with_planner(self):
-        db = overlapping_db(10)
-        on = RankingEngine(db, seed=3, samples=500, planner=True)
-        off = RankingEngine(db, seed=3, samples=500, planner=False)
-        planned = on.utop_rank(1, 3).diagnostics["plan"]
-        assert planned["chosen"] in ("exact", "montecarlo")
-        assert {s["stage"] for s in planned["stages"]} >= {
-            "montecarlo", "baseline",
-        }
-        assert "plan" not in off.utop_rank(1, 3).diagnostics
-
     def test_doomed_exact_skipped_under_deadline(self):
         # UTop-Prefix(3) over 16 overlapping records enumerates 3,360
-        # prefixes: predicted at about 0.54 s, and about 0.25 s
+        # prefixes: priced at about 0.54 s, and about 0.25 s
         # unbudgeted, so a 0.1-s deadline dooms the exact rung.
-        engine = RankingEngine(
-            overlapping_db(16), seed=3, samples=2_000, planner=True
-        )
+        engine = RankingEngine(overlapping_db(16), seed=3, samples=2_000)
         result = engine.utop_prefix(3, budget=Budget.for_deadline(0.1))
         assert result.method == "montecarlo"
         assert not result.partial
@@ -443,105 +367,64 @@ class TestEngineIntegration:
             e for e in result.degradation
             if e.stage == "exact" and e.action == "skipped"
         )
-        assert skip.reason.startswith("planner:")
-        plan = result.diagnostics["plan"]
-        exact = next(
-            s for s in plan["stages"] if s["stage"] == "exact"
+        assert skip.reason.startswith("predicted 0.5376s exceeds")
+        assert "plan" not in result.diagnostics
+
+    def test_planner_metrics_emitted(self):
+        # A skipped rung reaches /metrics as a degradation event; there
+        # are no planner-specific counters.
+        registry = MetricsRegistry()
+        engine = RankingEngine(
+            overlapping_db(16), seed=3, samples=1_000, metrics=registry,
         )
-        assert exact["decision"] == "skipped"
-        mc = next(
-            s for s in plan["stages"] if s["stage"] == "montecarlo"
-        )
-        assert mc["decision"] == "chosen"
-        assert mc["actual_seconds"] is not None
-        # Without the planner the same deadline burns on the doomed
-        # exact enumeration, so the reactive ladder returns a clipped
-        # answer or one from a lower rung.
-        reactive = RankingEngine(
-            overlapping_db(16), seed=3, samples=2_000, planner=False
-        ).utop_prefix(3, budget=Budget.for_deadline(0.1))
-        assert reactive.partial or reactive.method != "exact"
+        engine.utop_prefix(3, budget=Budget.for_deadline(0.2))
+        counters = registry.snapshot()["counters"]
+        events = {
+            (entry["labels"]["stage"], entry["labels"]["action"])
+            for entry in counters["degradation_events_total"]
+        }
+        assert ("exact", "skipped") in events
+        assert not any(name.startswith("planner_") for name in counters)
 
     def test_covered_block_served_at_reduced_count(self):
-        engine = RankingEngine(
-            overlapping_db(30), seed=3, planner=True
-        )
+        engine = RankingEngine(overlapping_db(30), seed=3)
         seeded = 2 * SAMPLE_BLOCK
         engine.utop_rank(1, 5, method="montecarlo", samples=seeded)
         assert engine.sampling_coverage(seeded, max_rank=5) == seeded
         result = engine.utop_rank(
-            1, 5, samples=100_000, budget=Budget(max_samples=500)
+            1, 5, samples=100_000, budget=Budget(max_samples=500),
+            trace=True,
         )
         assert result.method == "montecarlo"
         assert result.partial
         assert result.confidence_half_width is not None
-        event = next(
-            e for e in result.degradation
-            if "covered block" in e.reason
+        sample = next(
+            node for node in walk_spans(result.trace.to_dict())
+            if node["name"] == "sample"
         )
-        assert f"{seeded}/100000" in event.reason
-        # Serving the block drew nothing new: coverage is unchanged.
-        assert engine.sampling_coverage(seeded, max_rank=5) == seeded
+        done = sample["attributes"]["done"]
+        assert done >= seeded
+        # The covered blocks are served free of the sample cap, and the
+        # cap's whole grant is drawn fresh on top of them.
+        assert done == seeded + 500
+        assert engine.sampling_coverage(done, max_rank=5) == done
 
-    def test_explain_reports_plan_and_observed_stats(self):
-        engine = RankingEngine(
-            overlapping_db(16), seed=3, samples=1_000, planner=True
+    @pytest.mark.parametrize(
+        "kind, depth",
+        [("utop_rank", 8), ("utop_prefix", 3), ("utop_set", 3)],
+    )
+    def test_explain_plan_is_independent_of_history(self, kind, depth):
+        engine = RankingEngine(overlapping_db(16), seed=3, samples=1_000)
+        before = engine.explain(kind, depth, deadline_ms=100)["plan"]
+        spec = (
+            Query(kind=kind, i=1, j=depth)
+            if kind == "utop_rank"
+            else Query(kind=kind, k=depth)
         )
-        # Exact UTop-Prefix(3) enumerates 3,360 prefixes: doomed.
-        plan = engine.explain("utop_prefix", 3, deadline_ms=150)["plan"]
-        assert plan["budgeted"] and plan["deadline_ms"] == 150
-        stages = {s["stage"]: s for s in plan["stages"]}
-        assert stages["exact"]["decision"] == "skipped"
-        assert plan["chosen"] == "montecarlo"
-        assert stages["montecarlo"]["observed"] is None
-        # Forced methods bypass the planner; only an auto dispatch
-        # feeds measured stage timings back into the cost model.
-        engine.utop_prefix(3, budget=Budget.for_deadline(0.15))
-        after = engine.explain("utop_prefix", 3, deadline_ms=150)["plan"]
-        observed = {
-            s["stage"]: s["observed"] for s in after["stages"]
-        }["montecarlo"]
-        assert observed is not None and observed["count"] >= 1
-
-    def test_explain_plan_absent_with_planner_off(self):
-        engine = RankingEngine(overlapping_db(8), seed=3, planner=False)
-        assert engine.explain("utop_rank", 3)["plan"] is None
-
-    def test_planner_metrics_emitted(self):
-        registry = MetricsRegistry()
-        engine = RankingEngine(
-            overlapping_db(16), seed=3, samples=1_000,
-            planner=True, metrics=registry,
-        )
-        engine.utop_prefix(3, budget=Budget.for_deadline(0.2))
-        counters = registry.snapshot()["counters"]
-        assert "planner_plans_total" in counters
-        assert "planner_stage_skips_total" in counters
-        skipped = {
-            entry["labels"]["stage"]
-            for entry in counters["planner_stage_skips_total"]
-        }
-        assert "exact" in skipped
-
-    def test_fitted_model_shared_through_cache(self):
-        db = overlapping_db(16)
-        cache = ComputationCache()
-        first = RankingEngine(
-            db, seed=3, samples=1_000, cache=cache, planner=True
-        )
-        first.utop_rank(1, 6, budget=Budget.for_deadline(0.15))
-        fp = first.database_fingerprint
-        key = stage_key("utop_rank", "exact")
-        assert cache.cost_model(fp).observations(key) >= 1
-        second = RankingEngine(
-            db, seed=3, samples=1_000, cache=cache, planner=True
-        )
-        plan = second.explain("utop_rank", 6)["plan"]
-        observed = {
-            s["stage"]: s["observed"] for s in plan["stages"]
-        }["exact"]
-        assert observed is not None and observed["count"] >= 1
-
+        engine.query(replace(spec, budget=Budget.for_deadline(0.1)))
+        engine.query(spec)
+        after = engine.explain(kind, depth, deadline_ms=100)["plan"]
+        assert after == before
 
     @pytest.mark.parametrize(
         "kind, depth",
@@ -555,27 +438,23 @@ class TestEngineIntegration:
         ],
     )
     def test_explain_plans_the_query_it_explains(self, kind, depth):
-        # explain() must predict exactly what a fresh engine's first
-        # auto query plans — including j (or k) beyond the pruned size.
+        # explain() must name the rung a fresh engine's first auto query
+        # runs — including j (or k) beyond the pruned size.
         db = overlapping_db(6)
         explained = RankingEngine(db, seed=3, samples=1_000).explain(
             kind, depth
-        )["plan"]
+        )
         spec = (
             Query(kind=kind, i=1, j=depth)
             if kind == "utop_rank"
             else Query(kind=kind, k=depth)
         )
         ran = RankingEngine(db, seed=3, samples=1_000).query(spec)
-        planned = ran.diagnostics["plan"]
-        assert explained["chosen"] == planned["chosen"] == ran.method
-        assert [
-            (s["stage"], s["predicted_seconds"])
-            for s in explained["stages"]
-        ] == [
-            (s["stage"], s["predicted_seconds"])
-            for s in planned["stages"]
+        kept = [
+            s["stage"] for s in explained["plan"]["stages"]
+            if s["decision"] == "kept"
         ]
+        assert explained["method"] == kept[0] == ran.method
 
     @pytest.mark.parametrize("kind", ["utop_rank", "utop_prefix", "utop_set"])
     def test_explain_under_copula_reports_the_sampled_method(self, kind):
@@ -599,7 +478,7 @@ class TestEngineIntegration:
 
 
 class TestCoverageProbes:
-    """The read-only probes behind covered-block planning."""
+    """The read-only probes behind the serving layer's coalescing."""
 
     def test_empty_cache_has_zero_coverage(self):
         engine = RankingEngine(overlapping_db(10), seed=3)

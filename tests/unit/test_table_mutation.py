@@ -264,9 +264,6 @@ class TestWarmReuseAcceptance:
         payload = result.to_dict()
         for volatile in ("elapsed", "cache", "trace"):
             payload.pop(volatile, None)
-        diagnostics = payload.get("diagnostics")
-        if isinstance(diagnostics, dict):
-            diagnostics.pop("plan", None)
         return json.dumps(payload, sort_keys=True, default=str)
 
     def test_single_edit_reuses_memo_and_answers_identically(self):

@@ -19,6 +19,7 @@ from repro.core.trace import (
     render_trace,
     span,
     span_under,
+    summarize_stages,
     walk_spans,
 )
 from repro.trace import main as trace_main
@@ -263,6 +264,19 @@ class TestRenderTrace:
             }
         )
         assert "-" in text
+
+
+class TestSummarizeStages:
+    def test_summary_fields(self):
+        stats = summarize_stages(
+            {"montecarlo": [0.3, 0.1, 0.2], "prune": [0.05]}
+        )
+        mc = stats["montecarlo"]
+        assert mc.count == 3
+        assert mc.total_seconds == pytest.approx(0.6)
+        assert mc.p50_seconds == pytest.approx(0.2)
+        assert mc.max_seconds == pytest.approx(0.3)
+        assert stats["prune"].count == 1
 
 
 class TestTraceCli:
