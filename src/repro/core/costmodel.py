@@ -41,10 +41,15 @@ __all__ = [
 #: uniforms, the small end paying the grid build; exact TOP-k
 #: enumeration at ~1e-5 s per ``space * n`` unit for prefixes (one
 #: quadrature ``prefix_probability`` per enumerated prefix) and ~3e-6
-#: for sets, MCMC at ~3e-5 s per ``chains * steps * n`` unit, and
-#: columnar Monte-Carlo at ~1.5e-8 s per ``samples * n`` unit. They are
-#: fixed: a slower host skips fewer doomed rungs, never changes an
-#: unbudgeted answer.
+#: for sets, MCMC at ~1e-6 s per ``chains * steps * n`` unit (4 chains
+#: of 300 steps over 8 overlapping uniforms, oracle included: 0.6e-6 to
+#: 1.6e-6 across the host's fast and slow states; the walk before the
+#: fused step loop ran at ~2.5e-6 to ~3.5e-6), and columnar Monte-Carlo
+#: at ~1.5e-8 s per ``samples * n`` unit. They are fixed: a slower host
+#: skips fewer doomed rungs, never changes an unbudgeted answer. The
+#: ``"mcmc"`` price stays at 3e-5, an older and slower walk's cost,
+#: because ``tests/unit/data/ladder_admission.json`` pins the admission
+#: decisions made with it.
 DEFAULT_UNIT_COSTS: Dict[str, float] = {
     "exact": 5e-6,
     "utop_prefix:exact": 1e-5,

@@ -36,6 +36,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,7 +66,7 @@ logger = logging.getLogger(__name__)
 EXACT_ORACLE_RECORDS = 60
 
 __all__ = [
-    "ProposalResult",
+    "BLOCK",
     "MetropolisHastingsChain",
     "TopKSimulation",
     "MCMCResult",
@@ -113,18 +114,26 @@ def set_probability_upper_bound(rank_matrix: np.ndarray, k: int) -> float:
     return float(min(mass[k - 1], 1.0))
 
 
-@dataclass
-class ProposalResult:
-    """One proposal draw: candidate state and proposal densities."""
-
-    state: Tuple[int, ...]
-    forward: float
-    reverse: float
-    changed: bool
+#: Uniforms a chain draws from its walk stream per refill. Each step
+#: reads, in order: ``z``, then per moved record its rank ``r`` and one
+#: uniform per swap attempt, then (for a changed proposal) the
+#: acceptance uniform. Unread uniforms carry over to the next step.
+BLOCK = 1024
 
 
-class MetropolisHastingsChain:  # reprolint: disable-scope=CON001 -- thread-confined: each chain worker owns exactly one instance; state never crosses threads until the serial merge in run_chains
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Endless stream of ``[0, 1)`` uniforms, drawn ``BLOCK`` at a time."""
+    while True:  # reprolint: disable=ROB001,ROB002 -- endless generator: the chain reads only what its steps consume
+        yield from rng.random(BLOCK).tolist()
+
+
+class MetropolisHastingsChain:  # reprolint: disable-scope=CON001 -- thread-confined: each chain worker owns exactly one instance, with its pairwise matrix and state memo; state never crosses threads until the serial merge in TopKSimulation.run
     """A single M-H chain over linear extensions.
+
+    States are tuples of record indices; a state's key is the index
+    tuple (prefix target) or frozenset (set target) of its top ``k``.
+    ``visited``, ``visit_counts`` and the chain's state memo are keyed
+    by these index keys; record ids appear only in oracle calls.
 
     Parameters
     ----------
@@ -135,15 +144,18 @@ class MetropolisHastingsChain:  # reprolint: disable-scope=CON001 -- thread-conf
     target:
         ``"prefix"`` or ``"set"``; selects what ``pi`` measures.
     state_probability:
-        Callable mapping a state key (tuple of record ids for prefixes,
-        frozenset for sets) to its probability.
+        Callable mapping a record-id state key (tuple of record ids for
+        prefixes, frozenset for sets) to its probability.
     pairwise:
         Callable ``(record_a, record_b) -> Pr(a > b)`` used by the
         proposal; inject a cached version to enable §VI-D caching.
     rng:
-        Chain-private random generator.
+        Chain-private random generator (the walk stream).
     initial:
         Starting state as a tuple of record indices (a valid extension).
+    memoize_pairwise:
+        Keep each Eq. 1 value the chain reads in its ``n x n`` matrix;
+        off, every swap attempt calls ``pairwise``.
     """
 
     def __init__(
@@ -155,114 +167,145 @@ class MetropolisHastingsChain:  # reprolint: disable-scope=CON001 -- thread-conf
         pairwise: Callable[[UncertainRecord, UncertainRecord], float],
         rng: np.random.Generator,
         initial: Tuple[int, ...],
+        memoize_pairwise: bool = True,
     ) -> None:
         self.records = records
         self.k = k
         self.target = target
         self._pi_of_key = state_probability
         self._pairwise = pairwise
+        self._memoize_pairwise = memoize_pairwise
+        n = len(records)
+        #: ``_matrix[a][b]`` is Pr(records[a] > records[b]) once read.
+        self._matrix: List[List[Optional[float]]] = [
+            [None] * n for _ in range(n)
+        ]
+        #: Swap attempts served from ``_matrix`` (§VI-D cache hits).
+        self.matrix_hits = 0
         self.rng = rng
+        self._draw = _uniforms(rng).__next__
         self.state = tuple(initial)
-        self.pi = self._pi(self.state)
+        self._current = self._key(self.state)
+        #: Probability of every state the chain has scored — its initial
+        #: state and each changed proposal — by index key. This is both
+        #: the per-chain memo in front of ``state_probability`` and the
+        #: set of states the answer is picked from.
+        self.visited: Dict[Hashable, float] = {}
+        self.pi = self._pi(self._current)
         self.trace: List[float] = [self.pi]
-        self.visited: Dict[Hashable, float] = {self._key(self.state): self.pi}
         #: How many steps the chain spent at each state key. Per the
         #: paper (§III), at stationarity the relative visit frequency
         #: estimates pi(x) — an alternative estimator to the exact
         #: per-state probabilities in ``visited``.
-        self.visit_counts: Dict[Hashable, int] = {self._key(self.state): 1}
+        self.visit_counts: Dict[Hashable, int] = {self._current: 1}
         self.accepted = 0
         self.steps = 0
 
-    def _key(self, state: Tuple[int, ...]) -> Hashable:
-        ids = tuple(self.records[i].record_id for i in state[: self.k])
-        return ids if self.target == "prefix" else frozenset(ids)
+    def _key(self, state: Sequence[int]) -> Hashable:
+        top = state[: self.k]
+        return tuple(top) if self.target == "prefix" else frozenset(top)
 
-    def _pi(self, state: Tuple[int, ...]) -> float:
-        return self._pi_of_key(self._key(state))
-
-    # ------------------------------------------------------------------
-    # proposal (paper §VI-D, "Sampling Space")
-    # ------------------------------------------------------------------
-
-    def propose(self) -> ProposalResult:
-        """Draw a candidate state with the paper's shuffling proposal."""
-        state = list(self.state)
-        n = len(state)
-        z = int(self.rng.integers(1, self.k + 1))
-        forward = 1.0
-        reverse = 1.0
-        changed = False
-        for _ in range(z):
-            r = int(self.rng.integers(0, n))
-            direction = 1 if r < self.k else -1
-            pos = r
-            while True:  # reprolint: disable=ROB001,ROB002 -- bounded: the walk exits at the array ends or at the first uncommitted swap
-                m = pos + direction
-                if m < 0 or m >= n:
-                    break
-                mover = self.records[state[pos]]
-                neighbour = self.records[state[m]]
-                if direction == 1:
-                    #
-
-                    # Moving downward: after the swap the neighbour sits
-                    # above the mover, which happens with Pr(neighbour >
-                    # mover).
-                    commit = self._pairwise(neighbour, mover)
-                else:
-                    # Moving upward: the mover overtakes the neighbour.
-                    commit = self._pairwise(mover, neighbour)
-                if self.rng.random() >= commit:
-                    break  # first uncommitted swap stops this record
-                state[pos], state[m] = state[m], state[pos]
-                forward *= commit
-                # Undoing this swap restores the original orientation,
-                # which the reverse move commits with the complement.
-                reverse *= 1.0 - commit
-                changed = True
-                pos = m
-        return ProposalResult(tuple(state), forward, reverse, changed)
+    def _pi(self, key: Hashable) -> float:
+        """Probability of an index key, through the chain's memo."""
+        value = self.visited.get(key)
+        if value is None:
+            ids = (self.records[i].record_id for i in key)
+            value = self._pi_of_key(
+                tuple(ids) if self.target == "prefix" else frozenset(ids)
+            )
+            self.visited[key] = value
+        return value
 
     def step(self) -> bool:
         """Advance one M-H step; returns whether the move was accepted."""
-        proposal = self.propose()
-        self.steps += 1
-        if not proposal.changed:
-            self.trace.append(self.pi)
-            key = self._key(self.state)
-            self.visit_counts[key] = self.visit_counts.get(key, 0) + 1
-            return False
-        pi_new = self._pi(proposal.state)
-        key_new = self._key(proposal.state)
-        best = self.visited.get(key_new)
-        if best is None or pi_new > best:
-            self.visited[key_new] = pi_new
-        if self.pi <= 0.0:
-            alpha = 1.0
-        else:
-            alpha = min(
-                (pi_new * proposal.reverse) / (self.pi * proposal.forward),
-                1.0,
-            )
-        if self.rng.random() < alpha:
-            self.state = proposal.state
-            self.pi = pi_new
-            self.accepted += 1
-            self.trace.append(self.pi)
-            self.visit_counts[key_new] = (
-                self.visit_counts.get(key_new, 0) + 1
-            )
-            return True
-        self.trace.append(self.pi)
-        key = self._key(self.state)
-        self.visit_counts[key] = self.visit_counts.get(key, 0) + 1
-        return False
+        accepted = self.accepted
+        self.run(1)
+        return self.accepted > accepted
 
     def run(self, steps: int) -> None:
-        """Advance the chain ``steps`` times."""
+        """Advance the chain ``steps`` M-H steps (paper §VI-D).
+
+        Proposal ("Sampling Space"): pick ``z <= k`` ranks; move each
+        picked record downward if it sits inside the top-k region and
+        upward otherwise, by adjacent swaps that commit with the
+        pairwise probability of the *new* orientation (Eq. 1). The walk
+        of one record stops at its first uncommitted swap or the end of
+        the extension. A swap that would violate dominance commits with
+        probability zero, so every state is a linear extension.
+        """
+        k = self.k
+        state = list(self.state)
+        n = len(state)
+        records = self.records
+        matrix = self._matrix
+        pairwise = self._pairwise
+        memoize = self._memoize_pairwise
+        draw = self._draw
+        key_of = self._key
+        pi_of = self._pi
+        counts = self.visit_counts
+        trace = self.trace
+        current = self._current
+        pi = self.pi
+        hits = 0
+        accepted = 0
         for _ in range(steps):
-            self.step()
+            candidate = state[:]
+            forward = 1.0
+            reverse = 1.0
+            changed = False
+            for _ in range(1 + int(draw() * k)):
+                pos = int(draw() * n)
+                direction = 1 if pos < k else -1
+                mover = candidate[pos]
+                m = pos + direction
+                while 0 <= m < n:  # reprolint: disable=ROB001,ROB002 -- bounded: the walk exits at the array ends or at the first uncommitted swap
+                    other = candidate[m]
+                    # Moving down, the neighbour ends above the mover
+                    # with Pr(other > mover); moving up, the mover
+                    # overtakes it with Pr(mover > other).
+                    if direction == 1:
+                        above, below = other, mover
+                    else:
+                        above, below = mover, other
+                    row = matrix[above]
+                    commit = row[below]
+                    if commit is None:
+                        commit = pairwise(records[above], records[below])
+                        if memoize:
+                            row[below] = commit
+                    else:
+                        hits += 1
+                    if draw() >= commit:
+                        break  # first uncommitted swap stops this record
+                    candidate[pos] = other
+                    candidate[m] = mover
+                    forward *= commit
+                    # Undoing this swap restores the original
+                    # orientation, which the reverse move commits with
+                    # the complement.
+                    reverse *= 1.0 - commit
+                    changed = True
+                    pos = m
+                    m += direction
+            if changed:
+                key = key_of(candidate)
+                pi_new = pi_of(key)
+                # u < 1, so u < min(ratio, 1) exactly when u < ratio.
+                u = draw()
+                if pi <= 0.0 or u < (pi_new * reverse) / (pi * forward):
+                    state = candidate
+                    current = key
+                    pi = pi_new
+                    accepted += 1
+            trace.append(pi)
+            counts[current] = counts.get(current, 0) + 1
+        self.state = tuple(state)
+        self._current = current
+        self.pi = pi
+        self.steps += steps
+        self.accepted += accepted
+        self.matrix_hits += hits
 
 
 @dataclass
@@ -689,6 +732,7 @@ class TopKSimulation:
                 self._pairwise,
                 np.random.default_rng(streams[2 * c]),
                 self._initial_state(np.random.default_rng(streams[2 * c + 1])),
+                memoize_pairwise=self._pairwise_cache is not None,
             )
             for c in range(self.n_chains)
         ]
@@ -740,6 +784,12 @@ class TopKSimulation:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
+            if self._pairwise_cache is not None:
+                # A matrix read is a §VI-D cache hit the shared memo
+                # never saw.
+                self._pairwise_cache.credit_hits(
+                    sum(c.matrix_hits for c in chains)
+                )
             if chain_spans is not None:
                 for chain_span, chain in zip(chain_spans, chains):
                     chain_span.set(
@@ -754,15 +804,24 @@ class TopKSimulation:
                 f"({self.n_chains} chains)"
             )
 
-        merged: Dict[Hashable, float] = {}
-        visit_totals: Dict[Hashable, int] = {}
+        # Chains key states by record index; the oracle is a pure
+        # function of the state, so every chain holds the same value
+        # for a shared key. Answers are keyed by record ids.
+        ids = [rec.record_id for rec in self.records]
+        if self.target == "prefix":
+            as_ids = lambda key: tuple(ids[i] for i in key)
+        else:
+            as_ids = lambda key: frozenset(ids[i] for i in key)
+        by_index: Dict[Hashable, float] = {}
+        index_visits: Dict[Hashable, int] = {}
         for chain in chains:
-            for key, value in chain.visited.items():
-                existing = merged.get(key)
-                if existing is None or value > existing:
-                    merged[key] = value
+            by_index.update(chain.visited)
             for key, count in chain.visit_counts.items():
-                visit_totals[key] = visit_totals.get(key, 0) + count
+                index_visits[key] = index_visits.get(key, 0) + count
+        merged = {as_ids(key): value for key, value in by_index.items()}
+        visit_totals = {
+            as_ids(key): count for key, count in index_visits.items()
+        }
         total_visits = sum(visit_totals.values())
         visit_frequencies = {
             key: count / total_visits for key, count in visit_totals.items()

@@ -181,6 +181,12 @@ class PairwiseCache:
         self._store[(second.record_id, first.record_id)] = 1.0 - value
         return self._store[key]  # reprolint: disable=PRB001
 
+    def credit_hits(self, count: int) -> None:
+        """Count ``count`` lookups a caller served from its own copy of
+        entries read through :meth:`probability` (an MCMC chain's
+        pairwise matrix), so ``hits`` covers every Eq. 1 lookup."""
+        self.hits += count  # reprolint: disable=CON001 -- diagnostic counter, like probability()'s own unlocked hit count; TopKSimulation.run credits once per walk, after its chain pool has shut down
+
     def __len__(self) -> int:
         return len(self._store)
 

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import DiscreteScore
+from repro.core.engine import RankingEngine
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.linext import is_linear_extension
+from repro.core import mcmc
 from repro.core.mcmc import (
     MetropolisHastingsChain,
     TopKSimulation,
     prefix_probability_upper_bound,
     set_probability_upper_bound,
 )
+from repro.core.pairwise import probability_greater
 from repro.core.ppo import ProbabilisticPartialOrder
+from repro.core.queries import Query
 from repro.core.records import UncertainRecord, certain, uniform
 
 
@@ -47,7 +51,7 @@ class TestUpperBounds:
 
 
 class TestProposal:
-    def _chain(self, paper_db, seed=0):
+    def _chain(self, paper_db, seed=0, state_probability=None, pairwise=None):
         sim = TopKSimulation(
             paper_db, k=3, n_chains=2, rng=np.random.default_rng(seed)
         )
@@ -56,28 +60,40 @@ class TestProposal:
             sim.records,
             3,
             "prefix",
-            sim._cached_pi,
-            sim._pairwise,
+            state_probability or sim._cached_pi,
+            pairwise or sim._pairwise,
             rng,
             sim._initial_state(rng),
         )
 
     def test_proposals_stay_valid_extensions(self, paper_db):
-        chain = self._chain(paper_db)
+        # A zero target density accepts every changed proposal (pi <= 0
+        # gives alpha = 1), so each step's state is its proposal.
+        chain = self._chain(paper_db, state_probability=lambda key: 0.0)
         ppo = ProbabilisticPartialOrder(paper_db)
         for _ in range(200):
-            proposal = chain.propose()
-            ranking = [chain.records[i] for i in proposal.state]
-            assert is_linear_extension(ppo, ranking)
             chain.step()
+            ranking = [chain.records[i] for i in chain.state]
+            assert is_linear_extension(ppo, ranking)
+        assert chain.accepted > 0
 
     def test_proposal_densities_positive_when_changed(self, paper_db):
-        chain = self._chain(paper_db, seed=3)
-        for _ in range(100):
-            proposal = chain.propose()
-            if proposal.changed:
-                assert proposal.forward > 0.0
-                assert proposal.reverse > 0.0
+        # The forward density multiplies committed swap probabilities
+        # and the reverse density their complements. A swap commits only
+        # when its uniform falls below its probability, so forward > 0;
+        # reverse > 0 as long as no swap the walk reads has Pr = 1. The
+        # chain's matrix serves repeats, so ``read`` sees every value.
+        sim = TopKSimulation(paper_db, k=3, n_chains=2, seed=3)
+        read = []
+
+        def pairwise(a, b):
+            read.append(sim._pairwise(a, b))
+            return read[-1]
+
+        chain = self._chain(paper_db, seed=3, pairwise=pairwise)
+        chain.run(100)
+        assert chain.accepted > 0
+        assert read and all(p < 1.0 for p in read)
 
     def test_chain_tracks_visited_states(self, paper_db):
         chain = self._chain(paper_db, seed=4)
@@ -85,6 +101,144 @@ class TestProposal:
         assert chain.steps == 100
         assert len(chain.trace) == 101
         assert chain.visited  # at least the initial state
+
+
+class _ConstantStream:
+    """Stand-in walk stream whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _overlapping_records(n):
+    return [uniform(f"r{i:04d}", 0.01 * i, 0.01 * i + 10.0) for i in range(n)]
+
+
+class TestWalkKernel:
+    """The fused step loop of :class:`MetropolisHastingsChain`."""
+
+    @staticmethod
+    def _chain(records, k, target, rng, state_probability=None, pairwise=None):
+        sim = TopKSimulation(records, k=k, target=target, n_chains=2)
+        initial = sim._initial_state(np.random.default_rng(1))
+        return MetropolisHastingsChain(
+            sim.records,
+            k,
+            target,
+            state_probability or sim._cached_pi,
+            pairwise or sim._pairwise,
+            rng,
+            initial,
+        )
+
+    @pytest.mark.parametrize("target", ["prefix", "set"])
+    def test_run_splits_into_any_step_counts(self, target):
+        records = _overlapping_records(8)
+        chains = [
+            self._chain(records, 2, target, np.random.default_rng(7))
+            for _ in range(3)
+        ]
+        chains[0].run(300)
+        for _ in range(300):
+            chains[1].run(1)
+        for _ in range(6):
+            chains[2].run(50)
+        first = chains[0]
+        assert first.accepted > 0
+        for other in chains[1:]:
+            assert other.state == first.state
+            assert other.trace == first.trace
+            assert other.visited == first.visited
+            assert other.visit_counts == first.visit_counts
+            assert other.accepted == first.accepted
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 1000])
+    @pytest.mark.parametrize(
+        "u, last", [(np.nextafter(1.0, 0.0), True), (0.0, False)]
+    )
+    def test_uniform_extremes_map_to_end_ranks(self, n, u, last):
+        # z = 1 + floor(u k) records move, each from rank r = floor(u n).
+        # No swap commits (Pr = 0), so each move reads one pair — the
+        # picked record and its neighbour — or none past either end.
+        records = _overlapping_records(n)
+        k = max(1, min(3, n - 1))
+        read = []
+
+        def pairwise(a, b):
+            read.append((a.record_id, b.record_id))
+            return 0.0
+
+        chain = MetropolisHastingsChain(
+            records, k, "prefix", lambda key: 1.0, pairwise,
+            _ConstantStream(u), tuple(range(n)),
+        )
+        chain.run(1)
+        ids = [rec.record_id for rec in records]
+        if n == 1:
+            assert read == []
+        elif last:
+            # r = n - 1 sits below the top k and moves up past n - 2,
+            # z = k times; the matrix serves the repeats.
+            assert read == [(ids[n - 1], ids[n - 2])]
+            assert chain.matrix_hits == k - 1
+        else:
+            # r = 0 sits inside the top k and moves down past rank 1,
+            # once (z = 1).
+            assert read == [(ids[1], ids[0])]
+            assert chain.matrix_hits == 0
+        assert chain.state == tuple(range(n))
+
+    @staticmethod
+    def _dominance_table():
+        # Tied certain scores (tau orients them: Pr 0 / 1), certain
+        # scores inside and outside intervals, disjoint intervals.
+        return [
+            certain("a", 5.0),
+            certain("b", 5.0),
+            uniform("c", 4.0, 6.0),
+            certain("d", 3.0),
+            uniform("e", 0.5, 4.5),
+            uniform("f", 0.0, 1.0),
+            uniform("g", 2.0, 5.5),
+            certain("h", 0.75),
+        ]
+
+    @pytest.mark.parametrize(
+        "rng", [np.random.default_rng(11), _ConstantStream(0.0)],
+        ids=["walk-stream", "u=0"],
+    )
+    def test_every_state_is_a_linear_extension(self, rng):
+        # A zero target density accepts every changed proposal, and
+        # u = 0 commits every swap with positive probability: only a
+        # commit-0 swap (one that would break dominance) may stop it.
+        records = self._dominance_table()
+        ppo = ProbabilisticPartialOrder(records)
+        chain = self._chain(
+            records, 3, "prefix", rng, state_probability=lambda key: 0.0
+        )
+        for _ in range(300):
+            chain.run(1)
+            ranking = [chain.records[i] for i in chain.state]
+            assert is_linear_extension(ppo, ranking)
+        assert len(chain.visit_counts) > 1
+
+
+class TestFindsExactAnswer:
+    """MCMC's best prefix and set equal the exact rung's best answer."""
+
+    @pytest.mark.parametrize("kind", ["utop_prefix", "utop_set"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_best_answer_matches_exact(self, kind, seed):
+        # Eight overlapping uniforms: k=2 pruning keeps all of them, and
+        # the best prefix (0.142) leads the next (0.108) by little.
+        records = [uniform(f"r{i}", 1.0 * i, 1.0 * i + 10.0) for i in range(8)]
+        engine = RankingEngine(records, mcmc_chains=4, mcmc_steps=300)
+        exact = engine.query(Query(kind=kind, k=2, method="exact"))
+        walked = engine.query(Query(kind=kind, k=2, method="mcmc", seed=seed))
+        assert walked.answers[0] == exact.answers[0]
 
 
 class TestSimulation:
@@ -143,6 +297,28 @@ class TestSimulation:
         hits, misses = sim.pairwise_cache_stats
         assert misses >= 1
         assert hits > misses  # reuse dominates after warm-up
+
+    def test_cache_counts_every_proposal_lookup(self, paper_db, monkeypatch):
+        # Off, every swap attempt integrates Eq. 1 afresh; on, every
+        # attempt is a hit (shared memo or chain matrix) or a miss. The
+        # paper database's pairwise probabilities are dyadic, so their
+        # complements are exact and both runs walk the same path.
+        calls = []
+
+        def counting(a, b):
+            calls.append((a.record_id, b.record_id))
+            return probability_greater(a, b)
+
+        monkeypatch.setattr(mcmc, "probability_greater", counting)
+        off = TopKSimulation(
+            paper_db, k=3, n_chains=3, seed=6, use_pairwise_cache=False
+        ).run(max_steps=100)
+        sim = TopKSimulation(paper_db, k=3, n_chains=3, seed=6)
+        on = sim.run(max_steps=100)
+        hits, misses = sim.pairwise_cache_stats
+        assert on.acceptance_rate == off.acceptance_rate > 0.0
+        assert on.answers == off.answers
+        assert hits + misses == len(calls)
 
     def test_cache_disabled(self, paper_db):
         sim = TopKSimulation(
