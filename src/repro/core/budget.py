@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -308,13 +309,16 @@ class Budget:
 
 @dataclass
 class SampleCounts:
-    """Best-so-far rank counts from a (possibly budget-clipped) run.
+    """Best-so-far rank counts or top-k tally from a (possibly clipped) run.
 
     Attributes
     ----------
     counts:
         ``(n, max_rank)`` integer matrix: ``counts[t, r]`` = number of
         completed samples in which record ``t`` landed at rank ``r``.
+        For a top-k tally, a :class:`~collections.Counter` from each
+        sampled top-k prefix (record indices, best first) to the number
+        of completed samples that ranked it.
     done:
         Samples actually accumulated into ``counts``.
     requested:
@@ -325,7 +329,7 @@ class SampleCounts:
         ``"samples"``) or ``None`` for a complete run.
     """
 
-    counts: np.ndarray
+    counts: Union[np.ndarray, Counter]
     done: int
     requested: int
     reason: Optional[str] = None

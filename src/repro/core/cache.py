@@ -18,11 +18,11 @@ starts:
   PairwiseCache` per database shared by the exact, MCMC, and rank-
   aggregation paths (:meth:`ComputationCache.pairwise`).
 - **Cross-query rank-count reuse with deterministic top-up**
-  (:class:`RankCountStore`): Monte-Carlo rank counts are stored in
-  fixed-size sample blocks, each drawn under a per-block call seed
-  through the evaluator's spawn-key determinism contract. Blocks are
-  also the unit of parallel work (:class:`~repro.core.parallel.
-  BlockPool`). Any requested
+  (:class:`RankCountStore`): Monte-Carlo rank counts and top-k prefix
+  tallies are stored in fixed-size sample blocks, each drawn under a
+  per-block call seed through the evaluator's spawn-key determinism
+  contract. Blocks are also the unit of parallel work
+  (:class:`~repro.core.parallel.BlockPool`). Any requested
   sample count decomposes into blocks, so a later query needing more
   samples reuses every cached block and only draws the missing suffix —
   and the merged counts are bit-identical to a cold run at the larger
@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -192,28 +192,37 @@ class RankCountStore:
     piece ``(i, s)`` always holds the counts of
     ``sampler.rank_counts(s, seed=i)``, so its content is a pure
     function of the key and the stream — never of request history or
-    of which worker drew it.
+    of which worker drew it. Top-k tallies of the same draws
+    (``rank_counts(s, max_rank=k, seed=i, tally=True)``) are pieces
+    keyed ``(i, s, k)``, served by the same routine.
     Requests for ``N`` samples decompose into full :data:`SAMPLE_BLOCK`
     pieces plus one remainder piece, which is exactly how a cold run at
     ``N`` would be drawn; serving cached pieces therefore reproduces the
     cold result bit for bit.
 
-    Pieces are stored at the deepest ``max_rank`` seen so far and served
-    by column slicing (counts are exact integers, so a slice of a deep
-    count matrix equals a directly computed shallow one).
+    Rank pieces are stored at the deepest ``max_rank`` seen so far and
+    served by column slicing (counts are exact integers, so a slice of a
+    deep count matrix equals a directly computed shallow one).
     """
 
     def __init__(self, block: int = SAMPLE_BLOCK) -> None:
         if block < 1:
             raise QueryError("block size must be positive")
         self.block = int(block)
-        self._pieces: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
+        self._pieces: Dict[Tuple[int, ...], Tuple[int, Any]] = {}
 
     @property
     def nbytes(self) -> int:
-        """Approximate retained bytes across all cached pieces."""
+        """Approximate retained bytes across all cached pieces.
+
+        A tally piece is charged per distinct prefix: its tuple of ``k``
+        indices, its count and its dict slot, about ``8k + 160`` bytes.
+        """
         return sum(
-            counts.nbytes + 64 for _, counts in self._pieces.values()
+            counts.nbytes + 64
+            if isinstance(counts, np.ndarray)
+            else len(counts) * (8 * limit + 160) + 64
+            for limit, counts in self._pieces.values()
         )
 
     def pieces(self, samples: int) -> List[Tuple[int, int]]:
@@ -226,14 +235,20 @@ class RankCountStore:
             out.append((full, rest))
         return out
 
-    def coverage(self, samples: int, limit: int) -> int:
+    def _cached(self, idx: int, size: int, limit: int, tally: bool) -> Any:
+        """Piece ``(idx, size)``'s counts at depth ``limit``, or ``None``."""
+        cached = self._pieces.get((idx, size, limit) if tally else (idx, size))
+        if cached is None or cached[0] < limit:
+            return None
+        return cached[1] if tally else cached[1][:, :limit]
+
+    def coverage(self, samples: int, limit: int, tally: bool = False) -> int:
         """How many of ``samples`` are already served by cached pieces."""
-        covered = 0
-        for idx, size in self.pieces(samples):
-            cached = self._pieces.get((idx, size))
-            if cached is not None and cached[0] >= limit:
-                covered += size
-        return covered
+        return sum(
+            size
+            for idx, size in self.pieces(samples)
+            if self._cached(idx, size, limit, tally) is not None
+        )
 
     def counts_for(
         self,
@@ -242,15 +257,16 @@ class RankCountStore:
         limit: int,
         budget: Optional[Budget] = None,
         pool: Optional[BlockPool] = None,
+        tally: bool = False,
     ) -> Tuple[SampleCounts, int]:
         """Merged counts for ``samples`` draws at rank depth ``limit``.
 
         Returns ``(counts, covered)`` where ``covered`` is the number of
         samples served from cache. Missing pieces are drawn through
-        ``sampler.rank_counts(size, seed=block_index)`` on ``pool``
-        (serially when omitted); the spawn-key contract makes each
-        piece independent of call order and thread. Results merge in
-        piece order, and clean pieces are cached. Under a ``budget``,
+        ``sampler.rank_counts(size, seed=block_index, tally=tally)`` on
+        ``pool`` (serially when omitted); the spawn-key contract makes
+        each piece independent of call order and thread. Results merge
+        in piece order, and clean pieces are cached. Under a ``budget``,
         only the *new* samples are charged via
         :meth:`Budget.take_samples`; cached coverage is free, and the
         grant is split over the missing pieces in order before any is
@@ -260,19 +276,19 @@ class RankCountStore:
         cached, and every later fresh piece is dropped: the store then
         holds what a serial run would have drawn.
         """
-        n = len(sampler.records)
-        merged = np.zeros((n, limit))
+        merged: Any = (
+            Counter() if tally else np.zeros((len(sampler.records), limit))
+        )
         covered = 0
-        done = 0
         missing: List[Tuple[int, int]] = []
         for idx, size in self.pieces(samples):
-            cached = self._pieces.get((idx, size))
-            if cached is not None and cached[0] >= limit:
-                merged += cached[1][:, :limit]
+            cached = self._cached(idx, size, limit, tally)
+            if cached is not None:
+                merged += cached
                 covered += size
-                done += size
             else:
                 missing.append((idx, size))
+        done = covered
         reason: Optional[str] = None
         to_draw = sum(size for _, size in missing)
         grant = to_draw
@@ -290,7 +306,7 @@ class RankCountStore:
 
         def draw(idx: int, take: int) -> SampleCounts:
             return sampler.rank_counts(
-                take, max_rank=limit, seed=idx, budget=budget
+                take, max_rank=limit, seed=idx, budget=budget, tally=tally
             )
 
         parts = (pool or BlockPool()).map(
@@ -306,7 +322,8 @@ class RankCountStore:
             else:
                 # A clean piece — full or grant-clipped to ``take`` — is
                 # a pure function of (stream, idx, take): cache it.
-                self._pieces[(idx, take)] = (limit, sc.counts)  # reprolint: disable=CON001 -- externally synchronized: every caller reaches counts_for through ComputationCache.rank_counts, which holds self._lock (RLock); block threads only draw, the merge runs on the calling thread
+                key = (idx, take, limit) if tally else (idx, take)
+                self._pieces[key] = (limit, sc.counts)  # reprolint: disable=CON001 -- externally synchronized: every caller reaches counts_for through ComputationCache.rank_counts, which holds self._lock (RLock); block threads only draw, the merge runs on the calling thread
         return (
             SampleCounts(
                 counts=merged, done=done, requested=samples, reason=reason
@@ -537,6 +554,7 @@ class ComputationCache:
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
         pool: Optional[BlockPool] = None,
+        tally: bool = False,
     ) -> SampleCounts:
         """Memoized ``rank_counts`` with cross-query deterministic top-up.
 
@@ -545,7 +563,8 @@ class ComputationCache:
         correlation model. Under a ``budget``, cached coverage is free
         and only missing samples are charged. Missing pieces run on
         ``pool`` (see :meth:`RankCountStore.counts_for`). The returned
-        counts are bit-identical to ``sampler.rank_counts`` run cold
+        counts (or, with ``tally=True``, top-``max_rank`` prefix
+        tallies) are bit-identical to ``sampler.rank_counts`` run cold
         piece by piece at the same total, whatever mixture of cache,
         fresh drawing and worker threads produced them.
         """
@@ -560,7 +579,7 @@ class ComputationCache:
                 lambda: RankCountStore(block=self.block),
                 count=False,
             )
-            covered = store.coverage(samples, limit)
+            covered = store.coverage(samples, limit, tally)
             if covered >= samples:
                 self._hits += 1
                 metrics.inc("cache_hits_total", 1.0, kind="rank-counts")
@@ -574,7 +593,7 @@ class ComputationCache:
                 metrics.inc("cache_misses_total", 1.0, kind="rank-counts")
                 accumulate("cache_misses")
             result, _ = store.counts_for(
-                sampler, samples, limit, budget=budget, pool=pool
+                sampler, samples, limit, budget=budget, pool=pool, tally=tally
             )
             self._evict()
             return result

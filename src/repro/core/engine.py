@@ -39,6 +39,7 @@ import logging
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -55,7 +56,7 @@ from typing import (
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, SampleCounts
 from .cache import (
     CacheStats,
     ComputationCache,
@@ -208,9 +209,10 @@ class RankingEngine:
         the records (in database order) modelling score correlation.
         When set, evaluation is restricted to the sampling-based methods
         that remain valid without independence: UTop-Rank, rank
-        distributions, and rank aggregation run on correlated samples;
-        UTop-Prefix/UTop-Set fall back to empirical frequencies
-        (``method="montecarlo"``); exact and MCMC paths are refused.
+        distributions, and rank aggregation count ranks, and
+        UTop-Prefix/UTop-Set tally top-k prefixes, over the same
+        correlated sample blocks (``method="montecarlo"``); exact and
+        MCMC paths are refused.
         k-dominance pruning stays sound because dominance is a
         support-containment property that holds on every joint sample.
     workers:
@@ -648,7 +650,8 @@ class RankingEngine:
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
         sampler_seed: Optional[int] = None,
-    ):
+        tally: bool = False,
+    ) -> SampleCounts:
         """Memoized rank counts with deterministic top-up (see cache).
 
         Missing sample blocks run on this engine's block pool.
@@ -661,7 +664,56 @@ class RankingEngine:
             max_rank=max_rank,
             budget=budget,
             pool=self._pool,
+            tally=tally,
         )
+
+    def _sampled_counts(
+        self,
+        ctx: _EvalContext,
+        subset: Sequence[UncertainRecord],
+        fp: str,
+        requested: int,
+        depth: int,
+        tally: bool = False,
+    ) -> SampleCounts:
+        """A Monte-Carlo rung's counts (or top-``depth`` tally) from the store.
+
+        Skips the rung when no sample is granted, and flags
+        ``ctx.partial`` with a ``clipped`` event when fewer than
+        ``requested`` were drawn.
+        """
+        sampler = self._sampler(subset, fp, ctx.sampler_seed)
+        # The cache — not the block threads — takes the sample grant for
+        # whatever cached blocks cannot cover, so the number of fresh
+        # samples drawn is a pure function of budget state and cache
+        # contents, never of scheduling (the determinism-under-budget
+        # contract).
+        with span("sample", requested=requested) as sample_span:
+            sc = self._rank_counts(
+                fp,
+                sampler,
+                requested,
+                max_rank=depth,
+                budget=ctx.budget,
+                sampler_seed=ctx.sampler_seed,
+                tally=tally,
+            )
+            if sample_span is not None:
+                sample_span.set(done=sc.done)
+        if sc.done == 0:
+            raise _StageSkipped(
+                f"sample budget exhausted ({sc.reason or 'samples'})"
+            )
+        if sc.partial:
+            ctx.partial = True
+            ctx.events.append(
+                DegradationEvent(
+                    "montecarlo",
+                    "clipped",
+                    sc.reason or f"sample cap granted {sc.done}/{requested}",
+                )
+            )
+        return sc
 
     def _guard_copula(self, method: str) -> str:
         """Map/refuse methods that assume independence under a copula."""
@@ -1107,38 +1159,7 @@ class RankingEngine:
                 return project(matrix, None)
 
         def run_montecarlo() -> List:
-            sampler = self._sampler(subset, fp, ctx.sampler_seed)
-            # The cache — not the block threads — takes the sample
-            # grant for whatever cached blocks cannot cover, so the
-            # number of fresh samples drawn is a pure function of
-            # budget state and cache contents, never of scheduling
-            # (the determinism-under-budget contract).
-            with span("sample", requested=requested) as sample_span:
-                sc = self._rank_counts(
-                    fp,
-                    sampler,
-                    requested,
-                    max_rank=depth,
-                    budget=budget,
-                    sampler_seed=ctx.sampler_seed,
-                )
-                if sample_span is not None:
-                    sample_span.set(done=sc.done)
-            if sc.done == 0:
-                raise _StageSkipped(
-                    "sample budget exhausted "
-                    f"({sc.reason or 'samples'})"
-                )
-            if sc.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "montecarlo",
-                        "clipped",
-                        sc.reason
-                        or f"sample cap granted {sc.done}/{requested}",
-                    )
-                )
+            sc = self._sampled_counts(ctx, subset, fp, requested, depth)
             with span("aggregate"):
                 return project(sc.counts / sc.done, sc.done)
 
@@ -1538,45 +1559,24 @@ class RankingEngine:
             ]
 
         def run_montecarlo() -> List:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
-            requested = base_samples
-            denom = requested
-            with span("sample", requested=requested):
-                if budget is not None:
-                    grant = budget.take_samples(requested)
-                    if grant == 0:
-                        raise _StageSkipped(
-                            "sample budget exhausted "
-                            f"({budget.exhausted_reason() or 'samples'})"
-                        )
-                    if grant < requested:
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "montecarlo",
-                                "clipped",
-                                f"sample cap granted {grant}/{requested}",
-                            )
-                        )
-                    denom = grant
-                    freq = sampler.empirical_top_frequencies(
-                        k_eff, denom, target=target, seed=0
-                    )
-                else:
-                    freq = self.cache.artifact(  # reprolint: disable=CACHE002 -- target is folded into the artifact kind empirical-<target>, and (kind, key) is the cache identity
-                        f"empirical-{target}",
-                        (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
-                        lambda: sampler.empirical_top_frequencies(
-                            k_eff, denom, target=target, seed=0
-                        ),
-                    )
+            sc = self._sampled_counts(
+                ctx, pruned, fp, base_samples, k_eff, tally=True
+            )
             with span("aggregate"):
+                # Prefix tallies re-keyed by answer: a UTop-Set key sums
+                # the prefixes that order its members.
+                ids = [rec.record_id for rec in pruned]
+                tally: Counter = Counter()
+                for top, count in sc.counts.items():
+                    tally[shape.key(ids[t] for t in top)] += count
                 ranked = sorted(
-                    freq.items(), key=lambda kv: (-kv[1], shape.order(kv[0]))
+                    tally.items(), key=lambda kv: (-kv[1], shape.order(kv[0]))
                 )
             if ctx.partial and ranked:
-                ctx.half_width = wilson_half_width(ranked[0][1], denom)
-            return [shape.answer(key, prob) for key, prob in ranked[:l]]
+                ctx.half_width = wilson_half_width(
+                    ranked[0][1] / sc.done, sc.done
+                )
+            return [shape.answer(key, c / sc.done) for key, c in ranked[:l]]
 
         def run_baseline() -> List:
             order = self._median_ranking(pruned)

@@ -9,9 +9,11 @@ draw, and read off where each record landed. The relative frequency of
 ``O(1 / sqrt(s))`` independent of the space size.
 
 The same sampler estimates prefix probabilities (Eq. 6), top-k set
-probabilities, and complete-extension probabilities (Eq. 4), and powers
-the empirical top-k state counts used by the space-coverage experiment
-(paper Fig. 14).
+probabilities, and complete-extension probabilities (Eq. 4). Its one
+chunked draw-and-rank loop (:meth:`MonteCarloEvaluator.rank_counts`)
+reduces each ranked chunk either to Eq. 7 rank counts or to a tally of
+the sampled top-k prefixes, which answers the Monte-Carlo UTop-Prefix
+and UTop-Set rung.
 
 Everything is **columnar**: at construction the database is compiled
 into a :class:`~repro.core.distributions.SamplingPlan` that groups
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections import Counter
 from typing import (
     Dict,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -360,6 +362,7 @@ class MonteCarloEvaluator:
         max_rank: Optional[int] = None,
         seed: Optional[int] = None,
         budget: Optional[Budget] = None,
+        tally: bool = False,
     ) -> SampleCounts:
         """Budget-aware chunked accumulation of the Eq. 7 counts.
 
@@ -381,6 +384,11 @@ class MonteCarloEvaluator:
         chunk, so the result equals one ``+1.0`` per ``(record, rank)``
         hit.
 
+        With ``tally=True`` the same ranked chunks are reduced instead
+        to a :class:`~collections.Counter` of their top-``max_rank``
+        prefixes: record-index tuples, best first, found with one
+        ``np.unique(axis=0)`` pass per chunk.
+
         Raises :class:`~repro.core.errors.EvaluationError` when a drawn
         score is NaN/inf — rankings over non-finite scores are
         meaningless, and a corrupt model must not masquerade as data.
@@ -391,7 +399,9 @@ class MonteCarloEvaluator:
         limit = n if max_rank is None else min(max_rank, n)
         chunk = max(1, min(samples, self._MAX_MATRIX_CELLS // max(n, 1)))
         rows = max(1, RANK_SLICE_CELLS // max(n, 1))
-        counts = np.zeros((n, limit))
+        counts: Union[np.ndarray, Counter] = (
+            Counter() if tally else np.zeros((n, limit))
+        )
         rank_cols = np.arange(limit)
         rng = self._stream(seed)
         done = 0
@@ -403,6 +413,7 @@ class MonteCarloEvaluator:
             batch = min(chunk, samples - done)
             scores = self._draw(rng, batch)
             hits = np.zeros(n * limit, dtype=np.int64)
+            tops: List[np.ndarray] = []
             for start in range(0, batch, rows):
                 block = scores[start : start + rows]
                 if not np.all(np.isfinite(block)):
@@ -411,9 +422,22 @@ class MonteCarloEvaluator:
                         "score model is corrupt (see "
                         "core.validation.validate_records)"
                     )
-                flat = rank_order(block, limit) * limit + rank_cols
-                hits += np.bincount(flat.ravel(), minlength=n * limit)
-            counts += hits.reshape(n, limit)
+                top = rank_order(block, limit)
+                if tally:
+                    tops.append(top)
+                else:
+                    top *= limit  # in place: no slice-sized temporaries
+                    top += rank_cols
+                    hits += np.bincount(top.ravel(), minlength=n * limit)
+            if tally:
+                keys, seen = np.unique(
+                    np.concatenate(tops), axis=0, return_counts=True
+                )
+                counts.update(
+                    dict(zip(map(tuple, keys.tolist()), seen.tolist()))
+                )
+            else:
+                counts += hits.reshape(n, limit)
             done += batch
         if done > 0:
             metrics.inc("samples_drawn_total", float(done))
@@ -589,58 +613,3 @@ class MonteCarloEvaluator:
         ordered = scores[:, idxs]
         ok = np.all(ordered[:, :-1] > ordered[:, 1:], axis=1)
         return clamp_probability(float(ok.mean()))
-
-    # ------------------------------------------------------------------
-    # empirical top-k state distributions (the Monte-Carlo TOP-k rung)
-    # ------------------------------------------------------------------
-
-    def empirical_top_counts(
-        self,
-        k: int,
-        samples: int,
-        target: str = "prefix",
-        seed: Optional[int] = None,
-    ) -> Dict[Hashable, int]:
-        """Occurrence counts of top-k prefixes or sets in sampled rankings.
-
-        ``target`` is ``"prefix"`` (ordered tuples of record ids) or
-        ``"set"`` (frozensets: rows are sorted first so order-insensitive
-        keys coincide). The scores are drawn in one call, as for
-        :meth:`sample_rankings`, and only their top ``k`` columns are
-        ranked, in row slices of at most :data:`RANK_SLICE_CELLS` cells.
-        Distinct keys are found with one ``np.unique(axis=0)`` pass over
-        the ``(s, k)`` top block instead of a Python row loop.
-        """
-        if target not in ("prefix", "set"):
-            raise QueryError(f"unknown empirical target {target!r}")
-        if k < 1:
-            raise QueryError("k must be positive")
-        k = min(k, len(self.records))
-        scores = self.sample_scores(samples, seed=seed)
-        rows = max(1, RANK_SLICE_CELLS // scores.shape[1])
-        top = np.concatenate(
-            [
-                rank_order(scores[start : start + rows], k)
-                for start in range(0, samples, rows)
-            ]
-        )
-        if target == "set":
-            top = np.sort(top, axis=1)
-        rows, counts = np.unique(top, axis=0, return_counts=True)
-        make = tuple if target == "prefix" else frozenset
-        ids = [rec.record_id for rec in self.records]
-        return {
-            make(ids[i] for i in row): int(c)
-            for row, c in zip(rows, counts)
-        }
-
-    def empirical_top_frequencies(
-        self,
-        k: int,
-        samples: int,
-        target: str = "prefix",
-        seed: Optional[int] = None,
-    ) -> Dict[Hashable, float]:
-        """Frequencies of observed top-k prefixes or sets (see counts)."""
-        counts = self.empirical_top_counts(k, samples, target, seed=seed)
-        return {key: c / samples for key, c in counts.items()}

@@ -255,9 +255,9 @@ def build_workload(k: int = 3) -> List[Query]:
 
     Each stochastic query pins an explicit ``seed`` so answers are
     addressable across engines built with different worker settings.
-    One UTop-Rank query asks for more than two sample blocks, so its
-    rank counts are drawn on the block pool whatever the engine's
-    default sample count.
+    One UTop-Rank and one UTop-Set query ask for more than two sample
+    blocks, so their rank counts and top-k tallies are drawn on the
+    block pool whatever the engine's default sample count.
     """
     return [
         Query(kind="utop_rank", i=1, j=2, l=2, method="exact"),
@@ -274,6 +274,14 @@ def build_workload(k: int = 3) -> List[Query]:
         Query(kind="utop_prefix", k=k, l=2, method="montecarlo", seed=12),
         Query(kind="utop_prefix", k=k, l=2, method="mcmc", seed=13),
         Query(kind="utop_set", k=k, l=2, method="montecarlo", seed=14),
+        Query(
+            kind="utop_set",
+            k=k,
+            l=2,
+            method="montecarlo",
+            seed=20,
+            samples=2 * SAMPLE_BLOCK + 500,
+        ),
         Query(kind="utop_set", k=k, l=2, method="mcmc", seed=17),
         Query(kind="rank_aggregation", method="montecarlo", seed=15),
         Query(kind="rank_aggregation", method="auto", seed=18),

@@ -342,6 +342,25 @@ class TestRankCountStoreTopUp:
         )
         assert np.array_equal(deep.counts, reference)
 
+    def test_tally_pieces_top_up_and_count_bytes(self):
+        db = small_db()
+        reference, _ = RankCountStore(block=self.BLOCK).counts_for(
+            MonteCarloEvaluator(db, seed=5), 230, 3, tally=True
+        )
+        store = RankCountStore(block=self.BLOCK)
+        sampler = MonteCarloEvaluator(db, seed=5)
+        store.counts_for(sampler, 128, 3)
+        ranks_only = store.nbytes
+        first, covered = store.counts_for(sampler, 100, 3, tally=True)
+        assert covered == 0  # rank pieces do not serve a tally
+        assert store.nbytes > ranks_only
+        extended, covered = store.counts_for(sampler, 230, 3, tally=True)
+        assert covered == 64
+        assert extended.done == 230
+        assert extended.counts == reference.counts
+        _, covered = store.counts_for(sampler, 230, 2, tally=True)
+        assert covered == 0  # tally pieces are keyed by their k
+
     def test_topup_under_budget_charges_only_new_samples(self):
         db = small_db()
         store = RankCountStore(block=self.BLOCK)
@@ -545,9 +564,11 @@ class _StallingBlockZero(MonteCarloEvaluator):
         self.block_one_done = threading.Event()
         self._local = threading.local()
 
-    def rank_counts(self, samples, max_rank=None, seed=None, budget=None):
+    def rank_counts(
+        self, samples, max_rank=None, seed=None, budget=None, tally=False
+    ):
         self._local.stall = seed == 0
-        result = super().rank_counts(samples, max_rank, seed, budget)
+        result = super().rank_counts(samples, max_rank, seed, budget, tally)
         if seed == 1:
             self.block_one_done.set()
         return result

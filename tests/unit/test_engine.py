@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core.budget import Budget
+from repro.core.distributions import TruncatedGaussianScore
 from repro.core.engine import RankingEngine
-from repro.core.errors import QueryError
-from repro.core.records import certain, uniform
+from repro.core.errors import EvaluationError, QueryError
+from repro.core.montecarlo import MonteCarloEvaluator
+from repro.core.records import UncertainRecord, certain, uniform
 from repro.lint.sanitizer import (
     build_records,
     build_workload,
@@ -112,6 +116,82 @@ class TestUTopSet:
         top_set = engine.utop_set(3, l=1, method="mcmc")
         assert set(top_set.diagnostics) == set(prefix.diagnostics)
         assert top_set.diagnostics["psrf"] is not None
+
+
+def overlapping_uniforms(count=30):
+    return [uniform(f"u{i:02d}", i * 0.2, i * 0.2 + 3.0) for i in range(count)]
+
+
+def mixed_table():
+    records = []
+    for i in range(12):
+        if i % 3 == 0:
+            records.append(certain(f"c{i:02d}", 2.0))  # tied points
+        elif i % 3 == 1:
+            score = TruncatedGaussianScore(1.0 + 0.15 * i, 0.6, 0.0, 4.0)
+            records.append(UncertainRecord(f"g{i:02d}", score))
+        else:
+            records.append(uniform(f"u{i:02d}", 0.1 * i, 0.1 * i + 2.5))
+    return records
+
+
+class TestMonteCarloTopK:
+    """The TOP-k rung tallies prefixes on the rank-count blocks."""
+
+    @pytest.mark.parametrize("kind", ["utop_rank", "utop_prefix", "utop_set"])
+    def test_non_finite_draws_raise(self, monkeypatch, kind):
+        draw = MonteCarloEvaluator._draw
+
+        def corrupt(self, rng, samples):
+            scores = draw(self, rng, samples)
+            scores[::7, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(MonteCarloEvaluator, "_draw", corrupt)
+        engine = RankingEngine(overlapping_uniforms(), samples=2_000)
+        args = (1, 3) if kind == "utop_rank" else (3,)
+        with pytest.raises(EvaluationError):
+            getattr(engine, kind)(*args, method="montecarlo")
+
+    def test_same_worlds_answer_both_families(self):
+        # 10,000 samples: three blocks, drawn once for both families.
+        engine = RankingEngine(overlapping_uniforms(), samples=10_000)
+        prefix = engine.utop_prefix(1, l=5, method="montecarlo")
+        rank = engine.utop_rank(1, 1, l=5, method="montecarlo")
+        assert [(a.prefix, a.probability) for a in prefix.answers] == [
+            ((a.record_id,), a.probability) for a in rank.answers
+        ]
+        sets = engine.utop_set(3, l=10**6, method="montecarlo")
+        top3 = engine.utop_rank(1, 3, l=10**6, method="montecarlo")
+        member_sums = dict.fromkeys((a.record_id for a in top3.answers), 0.0)
+        for answer in sets.answers:
+            for member in answer.members:
+                member_sums[member] += answer.probability
+        for answer in top3.answers:
+            assert member_sums[answer.record_id] == pytest.approx(
+                answer.probability, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("table", [overlapping_uniforms, mixed_table])
+    @pytest.mark.parametrize("kind", ["utop_prefix", "utop_set"])
+    def test_budget_clips_between_blocks_then_tops_up(self, table, kind):
+        engine = RankingEngine(table(), samples=10_000)
+        clipped = getattr(engine, kind)(
+            3, l=5, method="montecarlo", budget=Budget(max_samples=5_000)
+        )
+        assert clipped.partial
+        fresh = getattr(RankingEngine(table(), samples=5_000), kind)(
+            3, l=5, method="montecarlo"
+        )
+        assert clipped.answers == fresh.answers
+        full = getattr(engine, kind)(3, l=5, method="montecarlo")
+        assert not full.partial
+        assert full.cache["topups"] == 1
+        assert full.cache["misses"] == 0
+        cold = getattr(RankingEngine(table(), samples=10_000), kind)(
+            3, l=5, method="montecarlo"
+        )
+        assert full.answers == cold.answers
 
 
 class TestRankAggregation:

@@ -251,18 +251,19 @@ class TestRankOrder:
         or platform.libc_ver()[0] != "glibc",
         reason="minor-fault accounting of glibc's heap trimming",
     )
-    def test_empirical_top_counts_reuse_their_memory(self):
+    def test_top_k_tallies_reuse_their_memory(self):
         import resource
 
-        # Ranking the whole 10,000 x 120 draw at full width in one call
-        # faulted ~2,700 pages back in on every call.
+        # Ranking a whole 10,000 x 120 draw at full width in one call
+        # faulted ~2,700 pages back in on every call; a tally block is
+        # ranked in the same row slices as the rank counts.
         sampler = MonteCarloEvaluator(
             [uniform(f"u{i:03d}", i * 0.1, i * 0.1 + 5.0) for i in range(120)]
         )
-        sampler.empirical_top_counts(3, 10_000)
+        sampler.rank_counts(4096, max_rank=3, tally=True)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(5):
-            sampler.empirical_top_counts(3, 10_000)
+            sampler.rank_counts(4096, max_rank=3, tally=True)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert (after - before) / 5 < 100
 
@@ -415,19 +416,30 @@ class TestExtensionProbability:
             sampler.extension_probability(["t1", "t2"], 100)
 
 
+def top_frequencies(sampler, k, samples, make=tuple):
+    """Sampled top-k prefix (``make=frozenset``: set) frequencies by id."""
+    sc = sampler.rank_counts(samples, max_rank=k, tally=True)
+    ids = [rec.record_id for rec in sampler.records]
+    freq = {}
+    for top, count in sc.counts.items():
+        key = make(ids[t] for t in top)
+        freq[key] = freq.get(key, 0) + count / sc.done
+    return freq
+
+
 class TestEmpiricalStateDistributions:
     def test_prefix_frequencies_sum_to_one(self, sampler):
-        freq = sampler.empirical_top_frequencies(3, 5000)
+        freq = top_frequencies(sampler, 3, 5000)
         assert sum(freq.values()) == pytest.approx(1.0)
 
     def test_prefix_frequencies_match_exact(self, sampler, exact):
-        freq = sampler.empirical_top_frequencies(3, SAMPLES)
+        freq = top_frequencies(sampler, 3, SAMPLES)
         best = max(freq, key=freq.get)
         assert best == ("t5", "t1", "t2")
         assert freq[best] == pytest.approx(0.4375, abs=TOL)
 
     def test_set_frequencies_match_exact(self, sampler):
-        freq = sampler.empirical_top_frequencies(3, SAMPLES, target="set")
+        freq = top_frequencies(sampler, 3, SAMPLES, make=frozenset)
         best = max(freq, key=freq.get)
         assert best == frozenset({"t1", "t2", "t5"})
         assert freq[best] == pytest.approx(0.9375, abs=TOL)
@@ -435,9 +447,32 @@ class TestEmpiricalStateDistributions:
     def test_deterministic_tie_handling(self):
         records = [certain("a", 5.0), certain("b", 5.0), uniform("u", 0, 1)]
         sampler = MonteCarloEvaluator(records, rng=np.random.default_rng(0))
-        freq = sampler.empirical_top_frequencies(2, 1000)
+        freq = top_frequencies(sampler, 2, 1000)
         # Tie-break puts 'a' above 'b' in every sample.
         assert freq == {("a", "b"): 1.0}
+
+    def test_tally_ranks_the_rank_count_draws(self, sampler):
+        # One draw-and-rank loop: the tally's first column is the
+        # rank-1 column of the rank counts drawn from the same seed.
+        tally = sampler.rank_counts(3000, max_rank=2, seed=4, tally=True)
+        counts = sampler.rank_counts(3000, max_rank=2, seed=4).counts
+        top1 = np.zeros(len(sampler.records))
+        for top, count in tally.counts.items():
+            top1[top[0]] += count
+        assert tally.done == 3000
+        assert np.array_equal(top1, counts[:, 0])
+
+    def test_tally_rejects_non_finite_draws(self, sampler, monkeypatch):
+        draw = MonteCarloEvaluator._draw
+
+        def corrupt(self, rng, samples):
+            scores = draw(self, rng, samples)
+            scores[::7, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(MonteCarloEvaluator, "_draw", corrupt)
+        with pytest.raises(EvaluationError):
+            sampler.rank_counts(100, max_rank=3, tally=True)
 
 
 class TestSISEdgeCases:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_mod
-from repro.core.cache import RankCountStore
+from repro.core.cache import SAMPLE_BLOCK, RankCountStore
 from repro.core.engine import RankingEngine
 from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator
@@ -228,10 +228,9 @@ class TestWorkerCountInvariance:
         assert counts[0].sum() == pytest.approx(2_000 * len(db))
 
     def test_empirical_distributions(self, db):
-        # The Monte-Carlo TOP-k rung draws serially at every width.
         def answers(kind, workers):
             with RankingEngine(
-                db, seed=42, workers=workers, samples=2_000
+                db, seed=42, workers=workers, samples=2 * SAMPLE_BLOCK + 500
             ) as engine:
                 result = getattr(engine, kind)(2, l=3, method="montecarlo")
             return result.answers

@@ -64,16 +64,17 @@ class TestHelpers:
 
     def test_workload_draws_on_the_block_pool(self):
         # At the sanitizer's sample counts most rank-count requests fit
-        # in one block; one query must span several so --workers draws
-        # blocks concurrently.
+        # in one block; a rank-count and a top-k tally query must span
+        # several so --workers draws blocks concurrently.
         from repro.core.cache import SAMPLE_BLOCK
 
-        assert any(
-            q.kind == "utop_rank"
-            and q.method == "montecarlo"
-            and (q.samples or 0) > 2 * SAMPLE_BLOCK
-            for q in build_workload()
-        )
+        for kind in ("utop_rank", "utop_set"):
+            assert any(
+                q.kind == kind
+                and q.method == "montecarlo"
+                and (q.samples or 0) > 2 * SAMPLE_BLOCK
+                for q in build_workload()
+            ), kind
 
     def test_canonical_result_strips_volatile_fields(self):
         data = canonical_result(make_result())
