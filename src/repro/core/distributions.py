@@ -20,11 +20,22 @@ evaluator in :mod:`repro.core.exact`; smooth families provide
 ``piecewise_approximation`` to opt into exact evaluation at a chosen
 resolution.
 
+The uniform, triangular, truncated-Gaussian and truncated-exponential
+families write their CDF, quantile and draw once, as functions of a
+parameter tuple that broadcasts over arrays (:class:`_ClosedForm`).
+
 For databases of many records, :func:`build_sampling_plan` compiles a
-**columnar batch plan**: records are grouped by distribution family and
-each group exposes vectorized ``batch_sample`` / ``batch_cdf`` /
-``batch_ppf`` kernels over stacked parameter arrays, so a single
-RNG/NumPy call replaces one Python-level call per record. The Monte-
+**columnar batch plan**: records are grouped by *exact* type and each
+group exposes vectorized ``batch_sample`` / ``batch_cdf`` /
+``batch_ppf`` kernels, so a single RNG/NumPy call replaces one
+Python-level call per record. The four closed-form families share one
+:class:`StackedBatch`, which calls the family's own functions on the
+members' parameter tuples stacked column-wise, so a plan column is bit
+for bit its member's scalar method. Deterministic scores form a
+:class:`PointBatch` (tie-perturbed sample values, true CDF steps);
+histograms and multi-atom discrete scores a :class:`ColumnwiseBatch`;
+everything else, subclasses of the built-in families included, a
+:class:`GenericBatch` that calls each record's own methods. The Monte-
 Carlo and MCMC evaluators are built on these plans (see
 ``docs/DEVELOPMENT.md``, "Performance architecture").
 """
@@ -167,6 +178,49 @@ def _digest_arrays(label: str, *arrays: np.ndarray) -> str:
     return f"{label}:{h.hexdigest()}"
 
 
+def _scalar_or_array(out: ArrayLike) -> FloatOrArray:
+    """A float for 0-d results, the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+class _ClosedForm(ScoreDistribution):
+    """A family whose CDF, quantile and draw are closed-form functions.
+
+    ``_cdf``, ``_ppf`` and ``_draw`` take the family's parameter tuple,
+    whose entries broadcast against the input. The scalar methods pass
+    the instance's own :meth:`_params`; :class:`StackedBatch` passes the
+    same tuples of many records stacked column-wise, so a plan column is
+    bit for bit its member's ``cdf``/``ppf``/``sample``.
+    """
+
+    def _params(self) -> Tuple[float, ...]:
+        """The parameter tuple, derived from validated fields only."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _cdf(p: Tuple, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @staticmethod
+    def _ppf(p: Tuple, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @classmethod
+    def _draw(
+        cls, p: Tuple, rng: np.random.Generator, size: SizeArg
+    ) -> FloatOrArray:
+        """Inverse-transform draw: the quantiles of one uniform block."""
+        return cls._ppf(p, rng.random(size))
+
+    def cdf(self, x: ArrayLike) -> FloatOrArray:
+        x = np.asarray(x, dtype=float)
+        return _scalar_or_array(self._cdf(self._params(), x))
+
+    def ppf(self, q: ArrayLike) -> FloatOrArray:
+        q = np.asarray(q, dtype=float)
+        return _scalar_or_array(self._ppf(self._params(), q))
+
+
 class PointScore(ScoreDistribution):
     """A deterministic (certain) score: all mass at a single value."""
 
@@ -219,7 +273,7 @@ class PointScore(ScoreDistribution):
         return f"PointScore({self.value})"
 
 
-class UniformScore(ScoreDistribution):
+class UniformScore(_ClosedForm):
     """Uniform density on ``[lo, up]`` — the paper's default model."""
 
     def __init__(self, lower: float, upper: float) -> None:
@@ -232,25 +286,41 @@ class UniformScore(ScoreDistribution):
             )
         self._density = 1.0 / (self.upper - self.lower)
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.lower, self.upper - self.lower, self._density)
+
+    @staticmethod
+    def _cdf(p: Tuple, x: np.ndarray) -> np.ndarray:
+        lower, _span, density = p
+        return np.clip((x - lower) * density, 0.0, 1.0)
+
+    @staticmethod
+    def _ppf(p: Tuple, u: np.ndarray) -> np.ndarray:
+        lower, span, _density = p
+        return lower + u * span
+
+    @staticmethod
+    def _draw(
+        p: Tuple, rng: np.random.Generator, size: SizeArg
+    ) -> FloatOrArray:
+        # The same variates as ``rng.uniform(lower, upper, size)``, but
+        # the in-place affine allocates no temporaries and runs ~2.5x
+        # faster with array bounds.
+        lower, span, _density = p
+        out = rng.random(size)
+        out *= span
+        out += lower
+        return out
+
     def pdf(self, x: ArrayLike) -> FloatOrArray:
         x = np.asarray(x, dtype=float)
         out = np.where((x >= self.lower) & (x <= self.upper), self._density, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x: ArrayLike) -> FloatOrArray:
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lower) * self._density, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def ppf(self, q: ArrayLike) -> FloatOrArray:
-        q = np.asarray(q, dtype=float)
-        out = self.lower + q * (self.upper - self.lower)
-        return float(out) if out.ndim == 0 else out
-
     def sample(
         self, rng: np.random.Generator, size: SizeArg = None
     ) -> FloatOrArray:
-        return rng.uniform(self.lower, self.upper, size)
+        return _scalar_or_array(self._draw(self._params(), rng, size))
 
     def mean(self) -> float:
         return 0.5 * (self.lower + self.upper)
@@ -365,7 +435,7 @@ def _norm_ppf(q: ArrayLike) -> np.ndarray:
     return math.sqrt(2.0) * special.erfinv(2.0 * np.asarray(q, dtype=float) - 1.0)
 
 
-class TruncatedGaussianScore(ScoreDistribution):
+class TruncatedGaussianScore(_ClosedForm):
     """Gaussian density truncated (and renormalized) to ``[lo, up]``."""
 
     def __init__(self, mu: float, sigma: float, lower: float, upper: float) -> None:
@@ -393,20 +463,23 @@ class TruncatedGaussianScore(ScoreDistribution):
         out = np.where((x >= self.lower) & (x <= self.upper), phi / self._z, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x: ArrayLike) -> FloatOrArray:
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        raw = (_norm_cdf(z) - _norm_cdf(self._alpha)) / self._z
-        out = np.clip(raw, 0.0, 1.0)
-        out = np.where(x < self.lower, 0.0, np.where(x > self.upper, 1.0, out))
-        return float(out) if out.ndim == 0 else out
+    def _params(self) -> Tuple[float, ...]:
+        return (
+            self.mu, self.sigma, self.lower, self.upper, self._alpha, self._z
+        )
 
-    def ppf(self, q: ArrayLike) -> FloatOrArray:
-        q = np.asarray(q, dtype=float)
-        base = _norm_cdf(self._alpha) + q * self._z
-        out = self.mu + self.sigma * _norm_ppf(base)
-        out = np.clip(out, self.lower, self.upper)
-        return float(out) if out.ndim == 0 else out
+    @staticmethod
+    def _cdf(p: Tuple, x: np.ndarray) -> np.ndarray:
+        mu, sigma, lower, upper, alpha, z = p
+        raw = (_norm_cdf((x - mu) / sigma) - _norm_cdf(alpha)) / z
+        out = np.clip(raw, 0.0, 1.0)
+        return np.where(x < lower, 0.0, np.where(x > upper, 1.0, out))
+
+    @staticmethod
+    def _ppf(p: Tuple, u: np.ndarray) -> np.ndarray:
+        mu, sigma, lower, upper, alpha, z = p
+        out = mu + sigma * _norm_ppf(_norm_cdf(alpha) + u * z)
+        return np.clip(out, lower, upper)
 
     def mean(self) -> float:
         phi_a = math.exp(-0.5 * self._alpha**2) / math.sqrt(2.0 * math.pi)
@@ -425,7 +498,7 @@ class TruncatedGaussianScore(ScoreDistribution):
         )
 
 
-class TruncatedExponentialScore(ScoreDistribution):
+class TruncatedExponentialScore(_ClosedForm):
     """Exponential density (rate ``lam``, origin ``lo``) truncated to ``[lo, up]``."""
 
     def __init__(self, rate: float, lower: float, upper: float) -> None:
@@ -447,18 +520,19 @@ class TruncatedExponentialScore(ScoreDistribution):
         out = np.where((x >= self.lower) & (x <= self.upper), raw, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x: ArrayLike) -> FloatOrArray:
-        x = np.asarray(x, dtype=float)
-        raw = (1.0 - np.exp(-self.rate * (x - self.lower))) / self._z
-        out = np.clip(raw, 0.0, 1.0)
-        out = np.where(x < self.lower, 0.0, np.where(x > self.upper, 1.0, out))
-        return float(out) if out.ndim == 0 else out
+    def _params(self) -> Tuple[float, ...]:
+        return (self.rate, self.lower, self.upper, self._z)
 
-    def ppf(self, q: ArrayLike) -> FloatOrArray:
-        q = np.asarray(q, dtype=float)
-        out = self.lower - np.log1p(-q * self._z) / self.rate
-        out = np.clip(out, self.lower, self.upper)
-        return float(out) if out.ndim == 0 else out
+    @staticmethod
+    def _cdf(p: Tuple, x: np.ndarray) -> np.ndarray:
+        rate, lower, upper, z = p
+        out = np.clip((1.0 - np.exp(-rate * (x - lower))) / z, 0.0, 1.0)
+        return np.where(x < lower, 0.0, np.where(x > upper, 1.0, out))
+
+    @staticmethod
+    def _ppf(p: Tuple, u: np.ndarray) -> np.ndarray:
+        rate, lower, upper, z = p
+        return np.clip(lower - np.log1p(-u * z) / rate, lower, upper)
 
     def mean(self) -> float:
         width = self.upper - self.lower
@@ -475,7 +549,7 @@ class TruncatedExponentialScore(ScoreDistribution):
         )
 
 
-class TriangularScore(ScoreDistribution):
+class TriangularScore(_ClosedForm):
     """Triangular density on ``[lo, up]`` with mode ``mode``.
 
     The standard elicitation model for "most likely value plus a range"
@@ -516,37 +590,29 @@ class TriangularScore(ScoreDistribution):
             out = np.where((x >= lo) & (x <= up), right, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x: ArrayLike) -> FloatOrArray:
-        x = np.asarray(x, dtype=float)
+    def _params(self) -> Tuple[float, ...]:
+        # The areas under the rising and falling ramps (1 for an empty
+        # ramp, so its unused branch divides safely).
         lo, mo, up = self.lower, self.mode, self.upper
-        out = np.zeros_like(x)
-        if mo > lo:
-            rising = (x - lo) ** 2 / ((up - lo) * (mo - lo))
-            out = np.where((x >= lo) & (x <= mo), rising, out)
-        if up > mo:
-            falling = 1.0 - (up - x) ** 2 / ((up - lo) * (up - mo))
-            out = np.where((x > mo) & (x <= up), falling, out)
-        out = np.where(x > up, 1.0, np.where(x < lo, 0.0, out))
-        if mo == lo:
-            falling = 1.0 - (up - x) ** 2 / ((up - lo) * (up - mo))
-            out = np.where(
-                (x >= lo) & (x <= up),
-                falling,
-                np.where(x > up, 1.0, 0.0),
-            )
-        return float(out) if out.ndim == 0 else out
+        rise_area = (up - lo) * (mo - lo) if mo > lo else 1.0
+        fall_area = (up - lo) * (up - mo) if up > mo else 1.0
+        return (lo, mo, up, rise_area, fall_area)
 
-    def ppf(self, q: ArrayLike) -> FloatOrArray:
-        q = np.asarray(q, dtype=float)
-        lo, mo, up = self.lower, self.mode, self.upper
-        split = (mo - lo) / (up - lo)
-        rising = lo + np.sqrt(np.maximum(q, 0.0) * (up - lo) * (mo - lo))
-        falling = up - np.sqrt(
-            np.maximum(1.0 - q, 0.0) * (up - lo) * (up - mo)
-        )
-        out = np.where(q <= split, rising, falling)
-        out = np.clip(out, lo, up)
-        return float(out) if out.ndim == 0 else out
+    @staticmethod
+    def _cdf(p: Tuple, x: np.ndarray) -> np.ndarray:
+        lo, mo, up, rise_area, fall_area = p
+        rising = (x - lo) ** 2 / rise_area
+        falling = 1.0 - (up - x) ** 2 / fall_area
+        mid = np.where((x <= mo) & (mo > lo), rising, falling)
+        return np.where(x < lo, 0.0, np.where(x > up, 1.0, mid))
+
+    @staticmethod
+    def _ppf(p: Tuple, u: np.ndarray) -> np.ndarray:
+        lo, mo, up, rise_area, fall_area = p
+        rising = lo + np.sqrt(np.maximum(u, 0.0) * rise_area)
+        falling = up - np.sqrt(np.maximum(1.0 - u, 0.0) * fall_area)
+        out = np.where(u <= (mo - lo) / (up - lo), rising, falling)
+        return np.clip(out, lo, up)
 
     def mean(self) -> float:
         return (self.lower + self.mode + self.upper) / 3.0
@@ -964,146 +1030,39 @@ class PointBatch(FamilyBatch):
         return np.broadcast_to(self.sample_values, u.shape).copy()
 
 
-class UniformBatch(FamilyBatch):
-    """Stacked :class:`UniformScore` records."""
+class StackedBatch(FamilyBatch):
+    """Stacked records of one closed-form family (:class:`_ClosedForm`).
 
-    family = "uniform"
-
-    def __init__(
-        self, indices: Sequence[int], members: Sequence[UniformScore]
-    ) -> None:
-        super().__init__(indices)
-        self.lowers = np.array([d.lower for d in members])
-        self.uppers = np.array([d.upper for d in members])
-        self._spans = self.uppers - self.lowers
-        self._densities = 1.0 / self._spans
-
-    def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
-        # rng.random + in-place affine: ~3x faster than rng.uniform
-        # with broadcast array bounds, and allocates no temporaries.
-        out = rng.random((s, len(self)))
-        out *= self._spans
-        out += self.lowers
-        return out
-
-    def batch_cdf(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(
-            (x[:, None] - self.lowers[None, :]) * self._densities[None, :],
-            0.0,
-            1.0,
-        )
-
-    def batch_ppf(self, u: np.ndarray) -> np.ndarray:
-        return self.lowers[None, :] + u * self._spans[None, :]
-
-
-class TriangularBatch(FamilyBatch):
-    """Stacked :class:`TriangularScore` records."""
-
-    family = "triangular"
-
-    def __init__(
-        self, indices: Sequence[int], members: Sequence[TriangularScore]
-    ) -> None:
-        super().__init__(indices)
-        self.lowers = np.array([d.lower for d in members])
-        self.modes = np.array([d.mode for d in members])
-        self.uppers = np.array([d.upper for d in members])
-        spans = self.uppers - self.lowers
-        rise = self.modes - self.lowers
-        fall = self.uppers - self.modes
-        self._rise_area = np.where(rise > 0, spans * rise, 1.0)
-        self._fall_area = np.where(fall > 0, spans * fall, 1.0)
-        self._split = rise / spans
-
-    def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
-        return self.batch_ppf(rng.random((s, len(self))))
-
-    def batch_cdf(self, x: np.ndarray) -> np.ndarray:
-        xc = x[:, None]
-        lo, mo, up = self.lowers, self.modes, self.uppers
-        rising = (xc - lo) ** 2 / self._rise_area
-        falling = 1.0 - (up - xc) ** 2 / self._fall_area
-        mid = np.where((xc <= mo) & (mo > lo), rising, falling)
-        return np.where(xc < lo, 0.0, np.where(xc > up, 1.0, mid))
-
-    def batch_ppf(self, u: np.ndarray) -> np.ndarray:
-        rising = self.lowers + np.sqrt(
-            np.maximum(u, 0.0) * self._rise_area
-        )
-        falling = self.uppers - np.sqrt(
-            np.maximum(1.0 - u, 0.0) * self._fall_area
-        )
-        out = np.where(u <= self._split[None, :], rising, falling)
-        return np.clip(out, self.lowers, self.uppers)
-
-
-class TruncatedGaussianBatch(FamilyBatch):
-    """Stacked :class:`TruncatedGaussianScore` records."""
-
-    family = "gaussian"
+    Holds the members' :meth:`~_ClosedForm._params` tuples stacked
+    column-wise and calls the family's own ``_cdf``/``_ppf``/``_draw``
+    on them, so each column is bit for bit its member's scalar method.
+    """
 
     def __init__(
         self,
+        family: str,
         indices: Sequence[int],
-        members: Sequence[TruncatedGaussianScore],
+        members: Sequence[_ClosedForm],
     ) -> None:
         super().__init__(indices)
-        self.mus = np.array([d.mu for d in members])
-        self.sigmas = np.array([d.sigma for d in members])
-        self.lowers = np.array([d.lower for d in members])
-        self.uppers = np.array([d.upper for d in members])
-        self._alpha_cdf = _norm_cdf((self.lowers - self.mus) / self.sigmas)
-        self._z = np.array([d._z for d in members])
+        self.family = family
+        self.kind = type(members[0])
+        self.params = tuple(
+            np.array(column) for column in zip(*(m._params() for m in members))
+        )
 
     def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
-        return self.batch_ppf(rng.random((s, len(self))))
+        return self.kind._draw(self.params, rng, (s, len(self)))
 
     def batch_cdf(self, x: np.ndarray) -> np.ndarray:
-        xc = x[:, None]
-        z = (xc - self.mus) / self.sigmas
-        raw = (_norm_cdf(z) - self._alpha_cdf) / self._z
-        out = np.clip(raw, 0.0, 1.0)
-        return np.where(xc < self.lowers, 0.0, np.where(xc > self.uppers, 1.0, out))
+        return self.kind._cdf(self.params, x[:, None])
 
     def batch_ppf(self, u: np.ndarray) -> np.ndarray:
-        base = self._alpha_cdf[None, :] + u * self._z[None, :]
-        out = self.mus[None, :] + self.sigmas[None, :] * _norm_ppf(base)
-        return np.clip(out, self.lowers, self.uppers)
+        return self.kind._ppf(self.params, u)
 
 
-class TruncatedExponentialBatch(FamilyBatch):
-    """Stacked :class:`TruncatedExponentialScore` records."""
-
-    family = "exponential"
-
-    def __init__(
-        self,
-        indices: Sequence[int],
-        members: Sequence[TruncatedExponentialScore],
-    ) -> None:
-        super().__init__(indices)
-        self.rates = np.array([d.rate for d in members])
-        self.lowers = np.array([d.lower for d in members])
-        self.uppers = np.array([d.upper for d in members])
-        self._z = np.array([d._z for d in members])
-
-    def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
-        return self.batch_ppf(rng.random((s, len(self))))
-
-    def batch_cdf(self, x: np.ndarray) -> np.ndarray:
-        xc = x[:, None]
-        raw = (1.0 - np.exp(-self.rates * (xc - self.lowers))) / self._z
-        out = np.clip(raw, 0.0, 1.0)
-        return np.where(xc < self.lowers, 0.0, np.where(xc > self.uppers, 1.0, out))
-
-    def batch_ppf(self, u: np.ndarray) -> np.ndarray:
-        out = self.lowers - np.log1p(-u * self._z[None, :]) / self.rates
-        return np.clip(out, self.lowers, self.uppers)
-
-
-class _ColumnwiseBatch(FamilyBatch):
-    """Shared machinery for families evaluated column by column.
+class ColumnwiseBatch(FamilyBatch):
+    """Families evaluated column by column (histograms, discrete scores).
 
     One uniform block is drawn with a single RNG call and pushed through
     each member's (internally vectorized) quantile function; the Python
@@ -1111,9 +1070,13 @@ class _ColumnwiseBatch(FamilyBatch):
     """
 
     def __init__(
-        self, indices: Sequence[int], members: Sequence[ScoreDistribution]
+        self,
+        family: str,
+        indices: Sequence[int],
+        members: Sequence[ScoreDistribution],
     ) -> None:
         super().__init__(indices)
+        self.family = family
         self.members = list(members)
 
     def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
@@ -1132,27 +1095,20 @@ class _ColumnwiseBatch(FamilyBatch):
         return out
 
 
-class HistogramBatch(_ColumnwiseBatch):
-    """Stacked :class:`HistogramScore` records (per-record bin layouts)."""
+class GenericBatch(ColumnwiseBatch):
+    """Fallback for every other type, each record through its own methods.
 
-    family = "histogram"
-
-
-class DiscreteBatch(_ColumnwiseBatch):
-    """Stacked multi-atom :class:`DiscreteScore` records."""
-
-    family = "discrete"
-
-
-class GenericBatch(_ColumnwiseBatch):
-    """Fallback for families without a closed-form columnar kernel.
-
-    Mixtures and convolutions sample far faster through their native
-    ``sample`` (component selection / sum of draws) than through their
-    numeric quantile functions, so ``batch_sample`` delegates per record.
+    Mixtures, convolutions and subclasses of the built-in families land
+    here. Mixtures and convolutions sample far faster through their
+    native ``sample`` (component selection / sum of draws) than through
+    their numeric quantile functions, and a subclass's overrides must be
+    the ones that run, so ``batch_sample`` delegates per record.
     """
 
-    family = "generic"
+    def __init__(
+        self, indices: Sequence[int], members: Sequence[ScoreDistribution]
+    ) -> None:
+        super().__init__("generic", indices, members)
 
     def batch_sample(self, rng: np.random.Generator, s: int) -> np.ndarray:
         out = np.empty((s, len(self)))
@@ -1247,6 +1203,19 @@ class SamplingPlan:
         return out
 
 
+#: Family key of each built-in type, matched by *exact* type as in
+#: :mod:`repro.core.validation`: a subclass may override any method, so
+#: it takes the generic batch, which calls its own.
+_FAMILIES: Dict[type, str] = {
+    UniformScore: "uniform",
+    TriangularScore: "triangular",
+    TruncatedGaussianScore: "gaussian",
+    TruncatedExponentialScore: "exponential",
+    HistogramScore: "histogram",
+    DiscreteScore: "discrete",
+}
+
+
 def build_sampling_plan(
     distributions: Sequence[ScoreDistribution],
     sample_overrides: Optional[Mapping[int, float]] = None,
@@ -1264,46 +1233,27 @@ def build_sampling_plan(
         step location.
 
     Grouping: deterministic scores (of any family) form the point
-    group; uniform, triangular, truncated-Gaussian, and truncated-
-    exponential records get closed-form stacked kernels; histograms and
-    multi-atom discrete scores share one RNG block with column-wise
-    transforms; every other family (mixtures, convolutions, custom
-    subclasses) falls back to the generic per-record kernel. Groups are
-    ordered by first appearance, so the plan is deterministic for a
-    given database order.
+    group. The other records are grouped by exact type (``_FAMILIES``):
+    uniform, triangular, truncated-Gaussian and truncated-exponential
+    records form a :class:`StackedBatch` that runs the family's own
+    closed-form functions; histograms and multi-atom discrete scores
+    share one RNG block with column-wise transforms; every other type
+    (mixtures, convolutions, subclasses) falls back to the per-record
+    :class:`GenericBatch`. Groups are ordered by first appearance, so
+    the plan is deterministic for a given database order.
     """
     overrides = dict(sample_overrides or {})
     buckets: Dict[str, Tuple[List[int], List[ScoreDistribution]]] = {}
     for col, dist in enumerate(distributions):
-        if dist.is_deterministic:
-            key = "point"
-        elif isinstance(dist, UniformScore):
-            key = "uniform"
-        elif isinstance(dist, TriangularScore):
-            key = "triangular"
-        elif isinstance(dist, TruncatedGaussianScore):
-            key = "gaussian"
-        elif isinstance(dist, TruncatedExponentialScore):
-            key = "exponential"
-        elif isinstance(dist, HistogramScore):
-            key = "histogram"
-        elif isinstance(dist, DiscreteScore):
-            key = "discrete"
-        else:
-            key = "generic"
+        key = (
+            "point"
+            if dist.is_deterministic
+            else _FAMILIES.get(type(dist), "generic")
+        )
         indices, members = buckets.setdefault(key, ([], []))
         indices.append(col)
         members.append(dist)
 
-    builders = {
-        "uniform": UniformBatch,
-        "triangular": TriangularBatch,
-        "gaussian": TruncatedGaussianBatch,
-        "exponential": TruncatedExponentialBatch,
-        "histogram": HistogramBatch,
-        "discrete": DiscreteBatch,
-        "generic": GenericBatch,
-    }
     groups: List[FamilyBatch] = []
     for key, (indices, members) in buckets.items():
         if key == "point":
@@ -1313,6 +1263,10 @@ def build_sampling_plan(
                 for col, d in zip(indices, members)
             ]
             groups.append(PointBatch(indices, sample_values, cdf_values))
+        elif key == "generic":
+            groups.append(GenericBatch(indices, members))
+        elif key in ("histogram", "discrete"):
+            groups.append(ColumnwiseBatch(key, indices, members))
         else:
-            groups.append(builders[key](indices, members))
+            groups.append(StackedBatch(key, indices, members))
     return SamplingPlan(groups, len(distributions))

@@ -30,6 +30,7 @@ grid, where a point score reads the rest of the integrand.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .budget import Budget
-from .errors import EvaluationError, QueryError
+from .errors import EvaluationError, ModelError, QueryError
 from .piecewise import PiecewisePolynomial, _polyval_local
 from .records import UncertainRecord
 
@@ -61,8 +62,10 @@ def _tie_perturbations(records: Sequence[UncertainRecord]) -> Dict[str, float]:
     width is far below the smallest distinct gap in the data, so no other
     ordering relationship can flip. When that gap is below the float
     resolution at the tied value (e.g. bounds ``0`` and ``1e-105`` next to
-    a tie at ``1.0``), the ladder steps by one ulp instead, so the
-    perturbed values stay distinct.
+    a tie at ``1.0``), the ladder steps by one ulp instead, upward while
+    it stays below the next distinct bound and otherwise downward above
+    the previous one. A tie with no room on either side raises
+    :class:`~repro.core.errors.ModelError` naming the records.
     """
     groups: Dict[float, List[UncertainRecord]] = {}
     for rec in records:
@@ -78,13 +81,40 @@ def _tie_perturbations(records: Sequence[UncertainRecord]) -> Dict[str, float]:
     scale = min(gaps) if gaps else max(1.0, abs(bounds[0]))
     out: Dict[str, float] = {}
     for value, group in ties.items():
-        step = scale * 1e-7 / len(group)
-        if value + step == value:
-            step = float(np.spacing(abs(value)))
+        at = bisect.bisect_left(bounds, value)
+        below = bounds[at - 1] if at > 0 else -np.inf
+        above = bounds[at + 1] if at + 1 < len(bounds) else np.inf
+        size = len(group)
+        # Best first, as the tau order below.
+        ladder = value + scale * 1e-7 / size * np.arange(size - 1, -1, -1)
+        if not _fits(ladder, below, above):
+            ladder = _ulp_ladder(value, size, np.inf)[::-1]
+        if not _fits(ladder, below, above):
+            ladder = _ulp_ladder(value, size, -np.inf)
+        if not _fits(ladder, below, above):
+            ids = sorted(rec.record_id for rec in group)
+            raise ModelError(
+                f"records {ids} tie at {value!r} with no float between "
+                "them and the neighbouring scores to break the tie"
+            )
         ordered = sorted(group, key=lambda r: r.record_id)  # tau order
-        for pos, rec in enumerate(ordered):
-            out[rec.record_id] = value + step * (len(group) - 1 - pos)
+        for rec, perturbed in zip(ordered, ladder):
+            out[rec.record_id] = float(perturbed)
     return out
+
+
+def _ulp_ladder(value: float, size: int, toward: float) -> np.ndarray:
+    """``value`` and the ``size - 1`` floats after it toward ``toward``."""
+    ladder = [value]
+    for _ in range(size - 1):
+        ladder.append(float(np.nextafter(ladder[-1], toward)))
+    return np.array(ladder)
+
+
+def _fits(ladder: np.ndarray, below: float, above: float) -> bool:
+    """Whether a best-first ladder strictly decreases inside the gap."""
+    decreasing = bool(np.all(np.diff(ladder) < 0))
+    return decreasing and ladder[0] < above and ladder[-1] > below
 
 
 @lru_cache(maxsize=128)

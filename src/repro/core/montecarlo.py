@@ -74,27 +74,34 @@ _KEY_NEG_INF = np.uint64(0x000F_FFFF_FFFF_FFFF)
 _KEY_POS_INF = np.uint64(0xFFF0_0000_0000_0000)
 
 
-def rank_order(scores: np.ndarray, limit: int) -> np.ndarray:
+def rank_order(
+    scores: np.ndarray, limit: int, tau: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Record indices of the ``limit`` best scores in each row, best first.
 
-    Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :limit]``:
-    equal scores rank by column (database) index, lower first.
+    Equal scores rank by the paper's tie-breaker τ
+    (:func:`~repro.core.records.tie_break`): ``tau`` lists the columns
+    in τ order, and ``None`` means database order. The result equals
+    ``tau[np.argsort(-scores[:, tau], axis=1, kind="stable")[:, :limit]]``.
 
     Each negated score is mapped to an order-preserving ``uint64`` key
     whose low ``b = (n - 1).bit_length()`` bits are replaced by the
-    column index, and the keys are sorted in place by value (no
-    ``argsort``); the index is read back from the low bits. Truncating
+    column's τ position, and the keys are sorted in place by value (no
+    ``argsort``); the position is read back from the low bits. Truncating
     those bits can merge distinct scores, so a row is exact only when
     every adjacent pair among its first ``min(limit + 1, n)`` sorted
     keys differs by more than the index mask: such keys cannot share
     their value bits, so the order of the head and the set it holds
     are the scores' own. The other rows (exact ties, near ties, and
-    rows holding a NaN or an infinity) are re-sorted stably.
+    rows holding a NaN or an infinity) are re-sorted stably in τ order.
     """
     n = scores.shape[1]
     if n == 0:
         return np.empty((scores.shape[0], 0), dtype=np.intp)
     mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    positions = np.arange(n, dtype=np.uint64)
+    if tau is not None:
+        positions[tau] = positions.copy()  # column tau[p] has position p
     # ``0.0 - x`` maps -0.0 to +0.0, so signed zeros share one key and
     # tie, as they compare equal in ``argsort``.
     keys = np.subtract(0.0, scores, dtype=np.float64).view(np.int64)
@@ -102,7 +109,7 @@ def rank_order(scores: np.ndarray, limit: int) -> np.ndarray:
     keys ^= (keys >> 63) | np.int64(-(2**63))
     keys = keys.view(np.uint64)
     keys &= ~mask
-    keys |= np.arange(n, dtype=np.uint64)
+    keys |= positions
     keys.sort(axis=1)
     head = keys[:, : min(limit + 1, n)]
     inexact = np.any(np.diff(head, axis=1) <= mask, axis=1)
@@ -111,10 +118,21 @@ def rank_order(scores: np.ndarray, limit: int) -> np.ndarray:
     inexact |= keys[:, -1] >= _KEY_POS_INF
     order = (keys[:, :limit] & mask).astype(np.intp)
     if inexact.any():
-        order[inexact] = np.argsort(
-            -scores[inexact], axis=1, kind="stable"
-        )[:, :limit]
-    return order
+        tied = scores[inexact] if tau is None else scores[inexact][:, tau]
+        order[inexact] = np.argsort(-tied, axis=1, kind="stable")[:, :limit]
+    return order if tau is None else tau[order]
+
+
+def _ranks_above(
+    x: np.ndarray, x_pos: np.ndarray, y: np.ndarray, y_pos: np.ndarray
+) -> np.ndarray:
+    """Whether draw ``x`` ranks above ``y``: higher, or equal and first in τ.
+
+    ``x_pos`` and ``y_pos`` are the records' τ positions, so the
+    indicator estimators count a tied draw for exactly one ordering, the
+    one :func:`rank_order` gives it.
+    """
+    return (x > y) | ((x == y) & (x_pos < y_pos))
 
 
 def compile_plan(records: Sequence[UncertainRecord]) -> SamplingPlan:
@@ -206,7 +224,9 @@ class MonteCarloEvaluator:
     -----
     Identical deterministic scores are separated by an infinitesimal,
     tie-breaker-ordered perturbation (the same device the exact evaluator
-    uses), so sampled rankings respect the paper's tie semantics.
+    uses), so sampled rankings respect the paper's tie semantics. Other
+    exact ties in a draw (equal atoms of discrete scores) go to the
+    record first in the tie-breaker τ, as in pairwise Eq. 1.
     """
 
     def __init__(
@@ -226,6 +246,17 @@ class MonteCarloEvaluator:
         }
         if len(self._index) != len(self.records):
             raise QueryError("duplicate record ids in database")
+        # The tie-breaker τ orders by record id: ``_tau`` lists the
+        # columns in τ order (``None`` when that is database order) and
+        # ``_tau_position`` is each column's place in it.
+        tau = np.array(
+            [self._index[rid] for rid in sorted(self._index)], dtype=np.intp
+        )
+        self._tau_position = np.empty_like(tau)
+        self._tau_position[tau] = np.arange(tau.size)
+        self._tau = (
+            None if np.array_equal(tau, np.arange(tau.size)) else tau
+        )
         self._tie_values = _tie_perturbations(self.records)
         overrides = {
             i: self._tie_values[rec.record_id]
@@ -316,7 +347,7 @@ class MonteCarloEvaluator:
         from the PPO's ranking distribution.
         """
         scores = self.sample_scores(samples, seed=seed)
-        return rank_order(scores, scores.shape[1])
+        return rank_order(scores, scores.shape[1], self._tau)
 
     def _resolve(self, rec_or_id: Union[UncertainRecord, str]) -> int:
         rid = (
@@ -422,7 +453,7 @@ class MonteCarloEvaluator:
                         "score model is corrupt (see "
                         "core.validation.validate_records)"
                     )
-                top = rank_order(block, limit)
+                top = rank_order(block, limit, self._tau)
                 if tally:
                     tops.append(top)
                 else:
@@ -446,31 +477,6 @@ class MonteCarloEvaluator:
             counts=counts, done=done, requested=samples, reason=reason
         )
 
-    def rank_range_probability(
-        self,
-        record: Union[UncertainRecord, str],
-        i: int,
-        j: int,
-        samples: int,
-        seed: Optional[int] = None,
-    ) -> float:
-        """Estimate ``Pr(t at rank in [i, j])`` (Eq. 7).
-
-        Ties follow the :func:`rank_order` contract: a record with an
-        equal draw and a lower database index ranks better, so on the
-        same draws this agrees with :meth:`rank_counts`.
-        """
-        if i < 1 or j < i:
-            raise QueryError(f"invalid rank range [{i}, {j}]")
-        idx = self._resolve(record)
-        scores = self.sample_scores(samples, seed=seed)
-        target = scores[:, idx : idx + 1]
-        better = (scores > target).sum(axis=1) + (
-            scores[:, :idx] == target
-        ).sum(axis=1)
-        hits = (better >= i - 1) & (better <= j - 1)
-        return clamp_probability(float(hits.mean()))
-
     # ------------------------------------------------------------------
     # prefix / set / extension probabilities
     # ------------------------------------------------------------------
@@ -485,11 +491,7 @@ class MonteCarloEvaluator:
         if not idxs:
             return 1.0
         scores = self.sample_scores(samples, seed=seed)
-        ordered = scores[:, idxs]
-        ok = np.all(ordered[:, :-1] > ordered[:, 1:], axis=1)
-        rest = np.setdiff1d(np.arange(len(self.records)), idxs)
-        if rest.size:
-            ok &= scores[:, rest].max(axis=1) < ordered[:, -1]
+        ok = self._in_order(scores, idxs) & self._above_rest(scores, idxs)
         return clamp_probability(float(ok.mean()))
 
     def top_set_probability(
@@ -502,11 +504,7 @@ class MonteCarloEvaluator:
         if not idxs:
             return 1.0
         scores = self.sample_scores(samples, seed=seed)
-        inside_min = scores[:, idxs].min(axis=1)
-        rest = np.setdiff1d(np.arange(len(self.records)), idxs)
-        if rest.size == 0:
-            return 1.0
-        ok = scores[:, rest].max(axis=1) < inside_min
+        ok = self._above_rest(scores, idxs)
         return clamp_probability(float(ok.mean()))
 
     def prefix_probability_cdf(
@@ -610,6 +608,31 @@ class MonteCarloEvaluator:
                 "extension_probability needs a permutation of the database"
             )
         scores = self.sample_scores(samples, seed=seed)
-        ordered = scores[:, idxs]
-        ok = np.all(ordered[:, :-1] > ordered[:, 1:], axis=1)
-        return clamp_probability(float(ok.mean()))
+        return clamp_probability(float(self._in_order(scores, idxs).mean()))
+
+    def _in_order(self, scores: np.ndarray, idxs: List[int]) -> np.ndarray:
+        """Rows where the records ``idxs`` rank in the order given."""
+        ordered, pos = scores[:, idxs], self._tau_position[idxs]
+        return np.all(
+            _ranks_above(ordered[:, :-1], pos[:-1], ordered[:, 1:], pos[1:]),
+            axis=1,
+        )
+
+    def _above_rest(self, scores: np.ndarray, idxs: List[int]) -> np.ndarray:
+        """Rows where every record in ``idxs`` ranks above all others.
+
+        Compares the lowest-ranked member with the highest-ranked other
+        record, each found with its τ position.
+        """
+        rest = np.setdiff1d(np.arange(len(self.records)), idxs)
+        if rest.size == 0:
+            return np.ones(scores.shape[0], dtype=bool)
+        inside, outside = scores[:, idxs], scores[:, rest]
+        low, high = inside.min(axis=1), outside.max(axis=1)
+        low_pos = np.where(
+            inside == low[:, None], self._tau_position[idxs], -1
+        ).max(axis=1)
+        high_pos = np.where(
+            outside == high[:, None], self._tau_position[rest], scores.shape[1]
+        ).min(axis=1)
+        return _ranks_above(low, low_pos, high, high_pos)

@@ -327,51 +327,9 @@ class PiecewisePolynomial:
         """Total integral over the real line (function must be compact)."""
         return self.antiderivative().right
 
-    def integrate(self, a: float, b: float) -> float:
-        """Definite integral over the finite interval ``[a, b]``."""
-        if b < a:
-            return -self.integrate(b, a)
-        bps = self.breakpoints
-        grid_points = [a]
-        if bps.size:
-            inner = bps[(bps > a) & (bps < b)]
-            grid_points.extend(inner.tolist())
-        grid_points.append(b)
-        total = 0.0
-        for lo, up in zip(grid_points[:-1], grid_points[1:]):
-            if up <= lo:
-                continue
-            if bps.size == 0 or lo < bps[0]:
-                total += self.left * (up - lo)
-            elif lo >= bps[-1]:
-                total += self.right * (up - lo)
-            else:
-                k = int(np.searchsorted(bps, lo, side="right") - 1)
-                seg = self.coeffs[k]
-                degrees = np.arange(1, seg.size + 1, dtype=float)
-                integ = np.concatenate(([0.0], seg / degrees))
-                u_lo = lo - bps[k]
-                u_up = up - bps[k]
-                total += float(
-                    _polyval_local(integ, np.array([u_up]))[0]
-                    - _polyval_local(integ, np.array([u_lo]))[0]
-                )
-        return total
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Maximum polynomial degree across segments (0 for constants)."""
-        if not self.coeffs:
-            return 0
-        return max(c.size - 1 for c in self.coeffs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n = len(self.coeffs)
         return (
-            f"PiecewisePolynomial({n} segments, degree={self.degree}, "
+            f"PiecewisePolynomial({n} segments, "
             f"left={self.left}, right={self.right})"
         )

@@ -1,7 +1,7 @@
 """Property tests over databases mixing every exact density family."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributions import (
@@ -83,6 +83,11 @@ def test_extension_distribution_sums_to_one(records):
 
 
 @given(mixed_family_dbs())
+@example(
+    # The tie at 0.0 has no float above it below r2's score: the tie
+    # ladder must step downward rather than onto r2.
+    records=[certain("r0", 0.0), certain("r1", 0.0), certain("r2", 5e-324)]
+)
 @settings(max_examples=30, deadline=None)
 def test_rank_matrix_doubly_stochastic(records):
     matrix = ExactEvaluator(records).rank_probability_matrix()

@@ -72,24 +72,3 @@ def test_antiderivative_differentiates_back(f):
         return
     numeric = (big_f(xs + eps) - big_f(xs - eps)) / (2 * eps)
     assert np.allclose(numeric, f(xs), atol=1e-3, rtol=1e-3)
-
-
-@given(
-    piecewise_functions(),
-    st.floats(min_value=-11.0, max_value=11.0),
-    st.floats(min_value=-11.0, max_value=11.0),
-    st.floats(min_value=-11.0, max_value=11.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_integral_additivity(f, a, b, c):
-    lhs = f.integrate(a, b) + f.integrate(b, c)
-    rhs = f.integrate(a, c)
-    assert abs(lhs - rhs) < 1e-7 * (1 + abs(lhs) + abs(rhs))
-
-
-@given(piecewise_functions())
-@settings(max_examples=60, deadline=None)
-def test_total_integral_consistent_with_antiderivative(f):
-    total = f.integral()
-    spanned = f.integrate(f.breakpoints[0] - 1, f.breakpoints[-1] + 1)
-    assert abs(total - spanned) < 1e-7 * (1 + abs(total))

@@ -19,7 +19,7 @@ from repro.core.distributions import (
     TruncatedGaussianScore,
     UniformScore,
 )
-from repro.core.errors import EvaluationError, QueryError
+from repro.core.errors import EvaluationError, ModelError, QueryError
 from repro.core.exact import ExactEvaluator, supports_exact
 from repro.core.linext import enumerate_extensions, enumerate_prefixes
 from repro.core.pairwise import probability_greater
@@ -268,6 +268,24 @@ class TestDeterministicTies:
             dtype=float,
         )
         assert np.array_equal(matrix, expected)
+
+    def test_tie_without_room_above_steps_down(self):
+        # No float lies strictly between the tie at 0.0 and r2's score:
+        # an upward ladder would land r0 on r2.
+        records = [certain("r0", 0.0), certain("r1", 0.0), certain("r2", 5e-324)]
+        matrix = ExactEvaluator(records).rank_probability_matrix()
+        expected = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+        assert np.array_equal(matrix, expected)
+
+    def test_tie_without_room_on_either_side_raises(self):
+        records = [
+            certain("b", 0.0),
+            certain("a", 0.0),
+            certain("hi", 5e-324),
+            certain("lo", -5e-324),
+        ]
+        with pytest.raises(ModelError, match=r"\['a', 'b'\]"):
+            ExactEvaluator(records)
 
 
 def _memo_db():

@@ -1,5 +1,6 @@
 """Unit tests for the Monte-Carlo evaluation engine (paper §VI-C)."""
 
+import itertools
 import platform
 import sys
 
@@ -11,6 +12,7 @@ from repro.core.distributions import (
     TruncatedGaussianScore,
     UniformScore,
 )
+from repro.core.engine import RankingEngine
 from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator
 from repro.core.montecarlo import (
@@ -19,6 +21,7 @@ from repro.core.montecarlo import (
     rank_order,
     select_top_rank_candidates,
 )
+from repro.core.pairwise import probability_greater
 from repro.core.records import UncertainRecord, certain, uniform
 
 SAMPLES = 60_000
@@ -68,16 +71,6 @@ class TestRankProbabilities:
     def test_matrix_rows_sum_to_one(self, sampler):
         matrix = sampler.rank_probability_matrix(5000)
         assert np.allclose(matrix.sum(axis=1), 1.0)
-
-    def test_rank_range_matches_exact(self, sampler, exact, paper_db):
-        for rec in paper_db:
-            est = sampler.rank_range_probability(rec, 1, 2, SAMPLES)
-            truth = exact.rank_range_probability(rec, 1, 2)
-            assert est == pytest.approx(truth, abs=TOL)
-
-    def test_invalid_rank_range(self, sampler):
-        with pytest.raises(QueryError):
-            sampler.rank_range_probability("t1", 2, 1, 100)
 
     def test_top_rank_candidates_order(self, sampler, paper_db):
         matrix = sampler.rank_probability_matrix(SAMPLES, max_rank=2)
@@ -162,11 +155,16 @@ class TestRankOrder:
 
     @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
     def test_equals_stable_argsort(self, width, limit, name):
+        # Ties go to the column first in tau: database order by default,
+        # or any order given (here a seeded shuffle).
         scores = _tie_heavy_scores(width)[name]
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :limit]
         got = rank_order(scores, limit)
         assert got.shape == (scores.shape[0], limit)
         assert np.array_equal(got, expected)
+        tau = np.random.default_rng(width).permutation(width)
+        expected = tau[np.argsort(-scores[:, tau], axis=1, kind="stable")]
+        assert np.array_equal(rank_order(scores, limit, tau), expected[:, :limit])
 
     @pytest.mark.parametrize("width,limit,name", KERNEL_CASES)
     def test_rank_counts_equal_add_at_scatter(self, width, limit, name):
@@ -282,33 +280,71 @@ class TestRankOrder:
         )
 
 
-class TestRankRangeTieBreak:
-    """Tied draws rank by database index, as in ``rank_counts``."""
+class TestTauTieBreak:
+    """Tied draws rank by the tie-breaker tau (record id), as Eq. 1 does.
+
+    The records are stored against id order, so database order would
+    give the opposite answers.
+    """
 
     @pytest.fixture
     def tied(self):
         return [
-            UncertainRecord("a", DiscreteScore([1, 2], [1, 1])),
             UncertainRecord("b", DiscreteScore([1, 2], [1, 1])),
+            UncertainRecord("a", DiscreteScore([1, 2], [1, 1])),
             UncertainRecord("c", UniformScore(0, 3)),
         ]
 
-    def test_agrees_with_rank_counts_on_the_same_draws(self, tied):
-        sampler = MonteCarloEvaluator(tied)
+    def test_rank_counts_rank_ties_by_tau(self, tied):
         samples = 20_000
-        counts = sampler.rank_counts(samples, seed=7).counts
-        for t, rec in enumerate(tied):
-            for r in (1, 2, 3):
-                assert sampler.rank_range_probability(
-                    rec, r, r, samples, seed=7
-                ) == counts[t, r - 1] / samples
-        column = [
-            sampler.rank_range_probability(rec, 1, 1, samples, seed=7)
-            for rec in tied
+        counts = MonteCarloEvaluator(tied).rank_counts(samples, seed=7).counts
+        scores = MonteCarloEvaluator(tied).sample_scores(samples, seed=7)
+        tau = np.array([1, 0, 2])
+        rankings = tau[np.argsort(-scores[:, tau], axis=1, kind="stable")]
+        expected = np.zeros((3, 3))
+        np.add.at(expected, (rankings, np.arange(3)[None, :]), 1.0)
+        assert np.array_equal(counts, expected)
+        # a ranks first whenever it beats c, a tie with b included
+        # (1/2 * 2/3 + 1/4 * 1/3); b must beat a outright (1/4 * 2/3).
+        assert counts[1, 0] / samples == pytest.approx(5 / 12, abs=0.015)
+        assert counts[0, 0] / samples == pytest.approx(1 / 6, abs=0.015)
+
+    def test_indicator_estimators_count_a_tie_once(self, tied):
+        b, a = tied[:2]
+        sampler = MonteCarloEvaluator([b, a])
+        samples = 20_000
+        prefixes = [
+            sampler.prefix_probability(order, samples, seed=3)
+            for order in (["a", "b"], ["b", "a"])
         ]
-        assert sum(column) == pytest.approx(1.0, abs=1e-12)
-        # b wins only when it beats a outright: Pr = 1/4 * Pr(c < 2).
-        assert column[1] == pytest.approx(1 / 6, abs=0.01)
+        assert sum(prefixes) == pytest.approx(1.0, abs=1e-12)
+        assert prefixes[0] == pytest.approx(
+            probability_greater(a, b), abs=0.015
+        )
+        assert sampler.extension_probability(
+            ["a", "b"], samples, seed=3
+        ) == prefixes[0]
+        assert sampler.top_set_probability(["a"], samples, seed=3) == (
+            prefixes[0]
+        )
+        everyone = MonteCarloEvaluator(tied)
+        total = sum(
+            everyone.prefix_probability(list(order), samples, seed=5)
+            for order in itertools.permutations("abc")
+        )
+        assert total == pytest.approx(1.0, abs=1e-12)
+        sets = sum(
+            everyone.top_set_probability(list(pair), samples, seed=5)
+            for pair in itertools.combinations("abc", 2)
+        )
+        assert sets == pytest.approx(1.0, abs=1e-12)
+
+    def test_engine_answers_by_tau(self, tied):
+        result = RankingEngine(tied[:2], seed=0).utop_rank(
+            1, 1, method="montecarlo"
+        )
+        assert result.answers[0].record_id == "a"
+        assert result.answers[0].probability == pytest.approx(0.75, abs=0.02)
 
 
 class TestPrefixEstimators:

@@ -971,44 +971,54 @@ class TestFramework:
 
 
 class TestCLI:
+    @pytest.fixture(autouse=True)
+    def _cache_in_tmp_path(self, tmp_path):
+        # Each run keeps its lint cache under tmp_path instead of
+        # replacing the one next to the repository's pyproject.toml.
+        self.cache_file = tmp_path / ".reprolint_cache.json"
+
+    def lint(self, *argv):
+        return lint_main([*argv, "--cache-file", str(self.cache_file)])
+
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert lint_main([str(target)]) == 0
+        assert self.lint(str(target)) == 0
+        assert self.cache_file.exists()
 
     def test_violation_exits_one(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
         target.write_text(
             "import numpy as np\nrng = np.random.default_rng()\n"
         )
-        assert lint_main([str(target)]) == 1
+        assert self.lint(str(target)) == 1
         out = capsys.readouterr().out
         assert "DET001" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "absent.py")]) == 2
+        assert self.lint(str(tmp_path / "absent.py")) == 2
 
     def test_json_format(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
         target.write_text("x = y == 1.0\n")
-        assert lint_main([str(target), "--format", "json"]) == 1
+        assert self.lint(str(target), "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["code"] == "NUM001"
 
     def test_ignore_flag(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
         target.write_text("x = y == 1.0\n")
-        assert lint_main([str(target), "--ignore", "NUM001"]) == 0
+        assert self.lint(str(target), "--ignore", "NUM001") == 0
 
     def test_unknown_rule_code_exits_two(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
         target.write_text("x = y == 1.0\n")
-        assert lint_main([str(target), "--select", "NUM01"]) == 2
+        assert self.lint(str(target), "--select", "NUM01") == 2
         err = capsys.readouterr().err
         assert "NUM01" in err and "NUM001" in err
 
     def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert self.lint("--list-rules") == 0
         out = capsys.readouterr().out
         for code in ("PRB001", "DET001", "NUM001", "EXC001", "TYP001", "ARG001"):
             assert code in out

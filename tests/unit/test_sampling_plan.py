@@ -144,6 +144,79 @@ class TestKernelFidelity:
         assert np.array_equal(fast.ppf(us), slow.ppf(us))
 
 
+FAMILY_MEMBERS = {
+    "uniform": [
+        UniformScore(0.0, 2.0),
+        UniformScore(-3.0, 5.5),
+        UniformScore(1e-3, 2e-3),
+    ],
+    "triangular": [
+        TriangularScore(0.0, 1.0, 4.0),
+        TriangularScore(0.0, 0.0, 1.0),
+        TriangularScore(0.0, 1.0, 1.0),
+        TriangularScore(-2.0, 0.3, 7.0),
+    ],
+    "gaussian": [
+        TruncatedGaussianScore(1.0, 0.5, 0.0, 2.0),
+        TruncatedGaussianScore(10.0, 1.0, 0.0, 3.0),
+        TruncatedGaussianScore(-1.0, 3.0, -0.5, 9.0),
+    ],
+    "exponential": [
+        TruncatedExponentialScore(0.7, 0.0, 3.0),
+        TruncatedExponentialScore(5.0, 1.0, 9.0),
+        TruncatedExponentialScore(0.01, -2.0, 2.0),
+    ],
+}
+
+
+class TestOneDefinitionPerFamily:
+    """A closed-form family's plan column *is* its scalar method."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
+    def test_plan_columns_equal_the_scalar_methods(self, family):
+        members = FAMILY_MEMBERS[family]
+        plan = build_sampling_plan(members)
+        assert plan.family_counts == {family: len(members)}
+        xs = np.linspace(-4.0, 10.0, 1_001)
+        us = np.random.default_rng(5).random((1_001, len(members)))
+        us[:3] = [[0.0], [0.5], [1.0 - 2.0**-53]]  # rng.random's range
+        cdf, ppf = plan.cdf(xs), plan.ppf(us)
+        for j, member in enumerate(members):
+            assert np.array_equal(cdf[:, j], member.cdf(xs))
+            assert np.array_equal(ppf[:, j], member.ppf(us[:, j]))
+            draw = build_sampling_plan([member]).sample(
+                np.random.default_rng(j), 500
+            )
+            expected = member.sample(np.random.default_rng(j), 500)
+            assert np.array_equal(draw[:, 0], expected)
+
+    def test_subclass_is_drawn_through_its_own_methods(self):
+        class RampScore(UniformScore):
+            """Density ``2 (x - lo) / w**2``: a subclass's own math."""
+
+            def cdf(self, x):
+                t = (np.asarray(x, dtype=float) - self.lower) / self.width
+                return np.clip(t, 0.0, 1.0) ** 2
+
+            def ppf(self, q):
+                return self.lower + self.width * np.sqrt(q)
+
+            def sample(self, rng, size=None):
+                return self.ppf(rng.random(size))
+
+        ramp = RampScore(0.0, 1.0)
+        plan = build_sampling_plan([ramp, UniformScore(0.0, 1.0)])
+        assert plan.family_counts == {"generic": 1, "uniform": 1}
+        draws = plan.sample(np.random.default_rng(3), 20_000)
+        expected = ramp.sample(np.random.default_rng(3), 20_000)
+        assert np.array_equal(draws[:, 0], expected)
+        assert draws[:, 0].mean() == pytest.approx(2.0 / 3.0, abs=0.01)
+        us = np.random.default_rng(4).random((50, 2))
+        assert np.array_equal(plan.ppf(us)[:, 0], ramp.ppf(us[:, 0]))
+        xs = np.linspace(-0.5, 1.5, 21)
+        assert np.array_equal(plan.cdf(xs)[:, 0], ramp.cdf(xs))
+
+
 class TestCdfProduct:
     def test_matches_manual_product(self):
         plan = build_sampling_plan(MIXED)
