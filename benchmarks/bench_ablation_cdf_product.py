@@ -8,9 +8,9 @@ prefix:
 1. exact Eq. 6 (CDF product, Gauss–Legendre quadrature on the
    evaluator's node grid),
 2. exact summation over all completions of the prefix (no shortcut),
-3. Monte-Carlo with the CDF-product weights,
-4. Monte-Carlo sequential importance sampling,
-5. plain indicator-frequency Monte-Carlo,
+3. Monte-Carlo sequential importance sampling (CDF-product weights
+   after conditional prefix draws),
+4. plain indicator-frequency Monte-Carlo,
 
 checking they agree and timing each.
 """
@@ -75,7 +75,6 @@ def test_estimators_agree_and_report(benchmark, workload):
     )
 
     for name, fn in (
-        ("MC CDF product", sampler.prefix_probability_cdf),
         ("MC sequential importance", sampler.prefix_probability_sis),
         ("MC indicator frequency", sampler.prefix_probability),
     ):

@@ -77,12 +77,8 @@ from .queries import (
     Query,
     QueryResult,
     RankAggAnswer,
-    RankAggQuery,
     RecordAnswer,
     SetAnswer,
-    UTopPrefixQuery,
-    UTopRankQuery,
-    UTopSetQuery,
 )
 from .rank_agg import (
     empirical_rank_matrix,
@@ -137,14 +133,10 @@ __all__ = [
     "Query",
     "QueryResult",
     "RankAggAnswer",
-    "RankAggQuery",
     "RankingEngine",
     "RecordAnswer",
     "SetAnswer",
     "TopKSimulation",
-    "UTopPrefixQuery",
-    "UTopRankQuery",
-    "UTopSetQuery",
     "empirical_rank_matrix",
     "expected_ranks",
     "expected_score_ranking",

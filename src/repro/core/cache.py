@@ -32,6 +32,9 @@ starts:
 - **LRU eviction with byte accounting** plus :class:`CacheStats`
   (hits, misses, evictions, bytes, top-up extensions) so cache behavior
   is observable (``RankingEngine.cache_stats()``) rather than inferred.
+  Each event is counted once, where it happens, into the cache's
+  totals, the metrics registry, the active trace span and the running
+  query's own tally (:func:`query_events`).
 
 Depth is handled the same way: blocks are stored at the deepest
 ``max_rank`` ever requested and shallower queries are served by column
@@ -41,10 +44,12 @@ rank window and the per-cell counts are integral.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import struct
 import threading
 from collections import Counter, OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -52,6 +57,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -76,6 +82,7 @@ __all__ = [
     "MigrationReport",
     "RankCountStore",
     "fingerprint_records",
+    "query_events",
     "shared_cache",
 ]
 
@@ -84,6 +91,39 @@ __all__ = [
 #: block ``i`` is always drawn under call seed ``i``, which is what makes
 #: warm results bit-identical to cold runs at any budget.
 SAMPLE_BLOCK = 4096
+
+#: Registry counter of each cache event (the keys of :class:`CacheStats`
+#: that count rather than measure).
+_METRIC = {
+    "hits": "cache_hits_total",
+    "misses": "cache_misses_total",
+    "topups": "cache_topups_total",
+    "evictions": "cache_evictions_total",
+    "migrations": "cache_migrations_total",
+    "carried": "cache_carried_entries_total",
+}
+
+_QUERY_EVENTS: "contextvars.ContextVar[Optional[Counter]]" = (
+    contextvars.ContextVar("repro_cache_events", default=None)
+)
+
+
+@contextmanager
+def query_events() -> Iterator[Counter]:
+    """Tally the cache events caused in this context, for one query.
+
+    ``RankingEngine.query`` runs its evaluator inside this block, so the
+    yielded :class:`~collections.Counter` holds exactly that query's
+    hits, misses, top-ups, evictions, migrations and carried entries —
+    never those of another thread sharing the cache. Cache events happen
+    only on the querying thread (block threads only draw samples).
+    """
+    tally: Counter = Counter()
+    token = _QUERY_EVENTS.set(tally)
+    try:
+        yield tally
+    finally:
+        _QUERY_EVENTS.reset(token)
 
 
 def fingerprint_records(records: Sequence[UncertainRecord]) -> str:
@@ -109,8 +149,10 @@ def fingerprint_records(records: Sequence[UncertainRecord]) -> str:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Point-in-time counters of a :class:`ComputationCache`.
+    """Event counters plus retained ``bytes`` and ``entries``.
 
+    :meth:`ComputationCache.stats` fills the counters with the cache's
+    totals; ``QueryResult.cache`` with one query's own events.
     ``topups`` counts rank-count requests that were *partially* covered
     by cached sample blocks and extended deterministically, as opposed
     to full ``hits`` and cold ``misses``.
@@ -137,19 +179,6 @@ class CacheStats:
             "migrations": self.migrations,
             "carried": self.carried,
         }
-
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        """Counter increments between ``since`` and this snapshot."""
-        return CacheStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            evictions=self.evictions - since.evictions,
-            bytes=self.bytes,
-            topups=self.topups - since.topups,
-            entries=self.entries,
-            migrations=self.migrations - since.migrations,
-            carried=self.carried - since.carried,
-        )
 
 
 @dataclass(frozen=True)
@@ -389,12 +418,27 @@ class ComputationCache:
             OrderedDict()
         )
         self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._topups = 0
-        self._migrations = 0
-        self._carried = 0
+        self._counts: Counter = Counter()
+
+    def _count(
+        self, event: str, amount: int = 1, kind: Optional[str] = None
+    ) -> None:
+        """Record one cache event in every book that keeps it.
+
+        The cache's own totals, the registry counter, the running
+        query's tally (:func:`query_events`) and, for lookups labelled
+        with an artifact ``kind``, the active span's ``cache_<event>``.
+        """
+        with self._lock:
+            self._counts[event] += amount
+        tally = _QUERY_EVENTS.get()
+        if tally is not None:
+            tally[event] += amount
+        if kind is None:
+            metrics.inc(_METRIC[event], float(amount))
+        else:
+            metrics.inc(_METRIC[event], float(amount), kind=kind)
+            accumulate(f"cache_{event}", float(amount))
 
     # ------------------------------------------------------------------
     # generic artifacts
@@ -421,15 +465,11 @@ class ComputationCache:
             if entry is not None:
                 self._entries.move_to_end(full_key)
                 if count:
-                    self._hits += 1
-                    metrics.inc("cache_hits_total", 1.0, kind=kind)
-                    accumulate("cache_hits")
+                    self._count("hits", kind=kind)
                 return entry.value
             value = builder()
             if count:
-                self._misses += 1
-                metrics.inc("cache_misses_total", 1.0, kind=kind)
-                accumulate("cache_misses")
+                self._count("misses", kind=kind)
             fn = size_fn if size_fn is not None else (
                 lambda: _default_size(value)
             )
@@ -441,22 +481,6 @@ class ComputationCache:
         """Whether ``(kind, key)`` is currently cached (no LRU touch)."""
         with self._lock:
             return (kind, key) in self._entries
-
-    def invalidate(self, kind: str, key: Hashable) -> bool:
-        """Drop one entry; returns whether it existed."""
-        with self._lock:
-            return self._entries.pop((kind, key), None) is not None
-
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._topups = 0
-            self._migrations = 0
-            self._carried = 0
 
     # ------------------------------------------------------------------
     # pairwise integrals (paper §VI-D)
@@ -531,10 +555,8 @@ class ComputationCache:
                 self._entries[("pairwise", new_fingerprint)] = _Entry(
                     value=fresh, size_fn=lambda v=fresh: v.nbytes
                 )
-            self._migrations += 1
-            self._carried += carried
-            metrics.inc("cache_migrations_total")
-            metrics.inc("cache_carried_entries_total", float(carried))
+            self._count("migrations")
+            self._count("carried", carried)
             self._evict()
             return MigrationReport(
                 pairwise_carried=carried,
@@ -580,64 +602,29 @@ class ComputationCache:
                 count=False,
             )
             covered = store.coverage(samples, limit, tally)
-            if covered >= samples:
-                self._hits += 1
-                metrics.inc("cache_hits_total", 1.0, kind="rank-counts")
-                accumulate("cache_hits")
-            elif covered > 0:
-                self._topups += 1
-                metrics.inc("cache_topups_total", 1.0, kind="rank-counts")
-                accumulate("cache_topups")
-            else:
-                self._misses += 1
-                metrics.inc("cache_misses_total", 1.0, kind="rank-counts")
-                accumulate("cache_misses")
+            event = (
+                "hits" if covered >= samples
+                else "topups" if covered
+                else "misses"
+            )
+            self._count(event, kind="rank-counts")
             result, _ = store.counts_for(
                 sampler, samples, limit, budget=budget, pool=pool, tally=tally
             )
             self._evict()
             return result
 
-    def rank_count_coverage(
-        self,
-        fingerprint: str,
-        backend: Hashable,
-        samples: int,
-        limit: int,
-    ) -> int:
-        """How many of ``samples`` draws the cached blocks already serve.
-
-        A read-only probe: no store is created, no LRU order or
-        hit/miss counter moves. The serving layer's coalescer uses it to
-        decide whether a burst still needs a shared sampling run (cold
-        or partial coverage) or can fan out directly against warm
-        blocks.
-        """
-        if samples < 1:
-            return 0
-        with self._lock:
-            entry = self._entries.get(("rank-counts", (fingerprint, backend)))
-            if entry is None:
-                return 0
-            store: RankCountStore = entry.value
-            return store.coverage(samples, limit)
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Snapshot of the live counters (safe to diff across queries)."""
+        """Snapshot of the live counters, retained bytes and entries."""
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
                 bytes=self._refresh_bytes(),
-                topups=self._topups,
                 entries=len(self._entries),
-                migrations=self._migrations,
-                carried=self._carried,
+                **self._counts,
             )
 
     def _refresh_bytes(self) -> int:
@@ -655,8 +642,7 @@ class ComputationCache:
         ):
             _, entry = self._entries.popitem(last=False)
             total -= entry.nbytes
-            self._evictions += 1
-            metrics.inc("cache_evictions_total")
+            self._count("evictions")
 
 
 _SHARED_LOCK = threading.Lock()

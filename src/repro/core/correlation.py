@@ -138,11 +138,6 @@ class CorrelatedMonteCarloEvaluator(MonteCarloEvaluator):
             "copula; use the indicator-based estimators instead"
         )
 
-    def prefix_probability_cdf(
-        self, prefix: Sequence, samples: int, seed: Optional[int] = None
-    ) -> NoReturn:  # noqa: D102
-        self._independence_only("prefix_probability_cdf")
-
     def prefix_probability_sis(
         self, prefix: Sequence, samples: int, seed: Optional[int] = None
     ) -> NoReturn:  # noqa: D102

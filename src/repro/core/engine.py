@@ -62,6 +62,7 @@ from .cache import (
     ComputationCache,
     MigrationReport,
     fingerprint_records,
+    query_events,
     shared_cache,
 )
 from .costmodel import (
@@ -408,11 +409,12 @@ class RankingEngine:
         untouched by them are migrated to the new fingerprint; when it
         cannot (a delta log that no longer reaches back to this
         engine's subscription point), the refresh falls back to
-        wholesale invalidation — recompute, never a wrong answer.
+        wholesale invalidation — recompute, never a wrong answer. The
+        refresh emits into this engine's registry, like its queries.
         """
         if self._table is None:
             return
-        with self._refresh_lock:
+        with self._refresh_lock, use_registry(self._metrics):
             changes = self._table.changes_since(self._table_version)
             if changes.version == self._table_version:
                 return
@@ -481,29 +483,6 @@ class RankingEngine:
     def metrics(self) -> MetricsRegistry:
         """The registry this engine's queries emit into."""
         return self._metrics
-
-    def sampling_coverage(
-        self, samples: int, max_rank: Optional[int] = None
-    ) -> int:
-        """How many of ``samples`` draws the shared cache already holds.
-
-        A read-only probe against the block-structured rank-count store
-        for this database and the engine's default sampling stream. The
-        serving layer uses it to skip coalescing when a burst would hit
-        warm blocks anyway. ``max_rank`` mirrors the query path's prune
-        level: rank counts are keyed by the *pruned* table fingerprint,
-        so the probe resolves the same pruned entry the query would.
-        """
-        self._refresh_table()
-        if max_rank is None:
-            subset, fp = self.records, self._db_fp
-        else:
-            subset, fp = self._pruned_entry(int(max_rank))
-        n = len(subset)
-        limit = n if max_rank is None else max(1, min(int(max_rank), n))
-        return self.cache.rank_count_coverage(
-            fp, self._backend_key(), samples, limit
-        )
 
     def ppo(self) -> ProbabilisticPartialOrder:
         """The partial order induced by the full database (cached)."""
@@ -870,10 +849,6 @@ class RankingEngine:
         """
         return self.cache.stats()
 
-    def _cache_delta(self, before: CacheStats) -> dict:
-        """Counter increments since ``before``, for per-query reporting."""
-        return self.cache.stats().delta(before).to_dict()
-
     def _median_ranking(
         self, subset: Sequence[UncertainRecord]
     ) -> List[UncertainRecord]:
@@ -1007,16 +982,15 @@ class RankingEngine:
         ``trace`` default and the spec's override), installs this
         engine's metrics registry for every emission point below, runs
         the evaluator for ``spec.kind``, and folds the bookkeeping —
-        elapsed time, cache delta, degradation events, diagnostics,
-        the span tree — into one keyword-constructed
-        :class:`QueryResult`.
+        elapsed time, the query's own cache events, degradation
+        events, diagnostics, the span tree — into one
+        keyword-constructed :class:`QueryResult`.
         """
         evaluator_name = self._EVAL.get(spec.kind)
         if evaluator_name is None:
             raise QueryError(f"unknown query kind {spec.kind!r}")
         self._refresh_table()
         start = time.perf_counter()
-        stats_before = self.cache.stats()
         sampler_seed, mcmc_seed = self._stream_seeds(spec.seed)
         ctx = _EvalContext(
             budget=self._effective_budget(spec.budget),
@@ -1037,9 +1011,12 @@ class RankingEngine:
         )
         evaluate = getattr(self, evaluator_name)
         try:
-            with use_registry(self._metrics):
-                with activate(root):
-                    answers = evaluate(spec, ctx)
+            with (
+                query_events() as cache_events,
+                use_registry(self._metrics),
+                activate(root),
+            ):
+                answers = evaluate(spec, ctx)
         except Exception as exc:
             if root is not None:
                 root.end()
@@ -1068,6 +1045,7 @@ class RankingEngine:
                 stage=event.stage,
                 action=event.action,
             )
+        now = self.cache.stats()
         return QueryResult(
             answers=answers,
             method=ctx.used,
@@ -1080,7 +1058,9 @@ class RankingEngine:
             truncated=ctx.truncated,
             confidence_half_width=ctx.half_width,
             degradation=ctx.events,
-            cache=self._cache_delta(stats_before),
+            cache=CacheStats(
+                bytes=now.bytes, entries=now.entries, **cache_events
+            ).to_dict(),
             trace=root,
         )
 

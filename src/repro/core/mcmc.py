@@ -613,10 +613,13 @@ class TopKSimulation:
         epoch: int,
         psrf_threshold: float,
         min_epochs: int,
+        advance: Callable[[int, int], None],
         budget: Optional[Budget] = None,
-        advance: Optional[Callable[[int, int], None]] = None,
     ) -> Tuple[bool, int, Optional[str]]:
         """Advance all chains epoch by epoch until mixing or the budget.
+
+        ``advance(index, steps)`` runs chain ``index`` for ``steps``
+        steps.
 
         With a thread pool, each chain advances on its own worker; a
         chain only touches its private generator and the shared
@@ -636,20 +639,16 @@ class TopKSimulation:
                 stop_reason = budget.exhausted_reason()
                 break
             todo = min(epoch, max_steps - done)
-            if advance is None:
-                step = lambda index, steps: chains[index].run(steps)
-            else:
-                step = advance
             if pool is not None:
                 list(
                     pool.map(
-                        lambda index: step(index, todo),
+                        lambda index: advance(index, todo),
                         range(len(chains)),
                     )
                 )
             else:
                 for index in range(len(chains)):
-                    step(index, todo)
+                    advance(index, todo)
             done += todo
             metrics.inc("mcmc_steps_total", float(todo * len(chains)))
             try:

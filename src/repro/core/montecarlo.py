@@ -507,35 +507,6 @@ class MonteCarloEvaluator:
         ok = self._above_rest(scores, idxs)
         return clamp_probability(float(ok.mean()))
 
-    def prefix_probability_cdf(
-        self, prefix: Sequence, samples: int, seed: Optional[int] = None
-    ) -> float:
-        """Low-variance Eq. 6 estimator with the CDF-product shortcut.
-
-        Instead of sampling the whole database and counting indicator
-        hits (which returns 0 whenever the prefix never materializes in
-        the batch), this samples only the ``k`` prefix scores and weights
-        each ordered draw by ``prod_{rest} F_j(x_k)`` — exactly the
-        paper's improvement of the nested integral (§V, Eq. 6, and
-        §VI-D: "the cost ... can be further improved using the CDF
-        product of remaining records"). The estimate is unbiased and
-        strictly positive whenever the prefix is possible, which is what
-        makes it usable as the MCMC state-probability oracle. The prefix
-        draw and the rest-of-database CDF product are both columnar
-        (one kernel call per family group).
-        """
-        idxs = [self._resolve(r) for r in prefix]
-        if len(set(idxs)) != len(idxs):
-            raise QueryError("prefix contains duplicate records")
-        if not idxs:
-            return 1.0
-        rng = self._stream(seed)
-        ordered = self._subplan(idxs).sample(rng, samples)
-        ok = np.all(ordered[:, :-1] > ordered[:, 1:], axis=1)
-        weights = ok.astype(float)
-        weights *= self._plan.cdf_product(ordered[:, -1], exclude=idxs)
-        return clamp_probability(float(weights.mean()))
-
     def prefix_probability_sis(
         self, prefix: Sequence, samples: int, seed: Optional[int] = None
     ) -> float:

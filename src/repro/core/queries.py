@@ -1,11 +1,13 @@
 """Typed query and answer objects for the ranking query families.
 
-The paper defines three query classes (§II-B):
+The paper defines three query classes (§II-B), all specified by one
+:class:`Query` whose ``kind`` names the family:
 
-- RECORD-RANK queries — :class:`UTopRankQuery` (Def. 4);
-- TOP-k queries — :class:`UTopPrefixQuery` (Def. 5) and
-  :class:`UTopSetQuery` (Def. 6), including their ``l``-answer variants;
-- RANK-AGGREGATION queries — :class:`RankAggQuery` (Def. 7).
+- RECORD-RANK queries — ``"utop_rank"`` (Def. 4);
+- TOP-k queries — ``"utop_prefix"`` (Def. 5) and ``"utop_set"``
+  (Def. 6), including their ``l``-answer variants;
+- RANK-AGGREGATION queries — ``"rank_aggregation"`` (Def. 7), under the
+  footrule distance.
 
 Answers carry their probability (or expected distance) plus evaluation
 metadata: which method produced them, how long evaluation took, how much
@@ -27,10 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "Query",
-    "UTopRankQuery",
-    "UTopPrefixQuery",
-    "UTopSetQuery",
-    "RankAggQuery",
     "RecordAnswer",
     "PrefixAnswer",
     "SetAnswer",
@@ -55,8 +53,8 @@ class Query:
 
     The unified spec behind every query family: the thin wrapper methods
     (``utop_rank`` and friends) only build one of these, so tracing,
-    metrics, cache-delta, and degradation bookkeeping live in exactly
-    one dispatcher.
+    metrics, per-query cache counts, and degradation bookkeeping live
+    in exactly one dispatcher.
 
     Attributes
     ----------
@@ -149,63 +147,6 @@ class DegradationEvent:
     stage: str
     action: str
     reason: str
-
-
-@dataclass(frozen=True)
-class UTopRankQuery:
-    """UTop-Rank(i, j): most probable record(s) at a rank in ``[i, j]``."""
-
-    i: int
-    j: int
-    l: int = 1
-
-    def __post_init__(self) -> None:
-        if self.i < 1 or self.j < self.i:
-            raise QueryError(f"invalid rank range [{self.i}, {self.j}]")
-        if self.l < 1:
-            raise QueryError("l must be positive")
-
-
-@dataclass(frozen=True)
-class UTopPrefixQuery:
-    """UTop-Prefix(k): most probable k-length linear-extension prefix(es)."""
-
-    k: int
-    l: int = 1
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise QueryError("k must be positive")
-        if self.l < 1:
-            raise QueryError("l must be positive")
-
-
-@dataclass(frozen=True)
-class UTopSetQuery:
-    """UTop-Set(k): most probable top-k record set(s)."""
-
-    k: int
-    l: int = 1
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise QueryError("k must be positive")
-        if self.l < 1:
-            raise QueryError("l must be positive")
-
-
-@dataclass(frozen=True)
-class RankAggQuery:
-    """Rank-Agg: footrule-optimal consensus over linear extensions."""
-
-    distance: str = "footrule"
-
-    def __post_init__(self) -> None:
-        if self.distance != "footrule":
-            raise QueryError(
-                "only the footrule distance admits the polynomial "
-                f"aggregation algorithm (got {self.distance!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -318,8 +259,10 @@ class QueryResult:
         Structured :class:`DegradationEvent` log of every ladder step
         taken under ``method="auto"`` (empty for clean evaluations).
     cache:
-        Computation-cache increments attributed to this query (hits,
-        misses, top-up extensions), when the engine ran with a cache.
+        This query's own cache events (hits, misses, top-up extensions,
+        evictions, migrations, carried entries), counted where they
+        happened, plus the cache's retained ``bytes`` and ``entries``
+        when the query finished.
     trace:
         Root :class:`~repro.core.trace.Span` of the query, when the
         engine ran with tracing enabled (``None`` otherwise). Export

@@ -37,7 +37,7 @@ count;
 
 and diffs every :meth:`~repro.core.queries.QueryResult.to_dict` against
 the unperturbed serial baseline **byte-for-byte** (canonicalized: the
-wall-clock, cache-delta, and trace fields are stripped — everything
+wall-clock, per-query cache, and trace fields are stripped — everything
 else, including diagnostics and float bit patterns, must match).
 
 The report also carries ``baseline_digest``, the SHA-256 of the

@@ -20,9 +20,9 @@ Request path, in order:
 3. **Coalescing** — concurrent identical queries (same fingerprint and
    answer-determining spec fields) share one execution; a cold burst on
    one table is one sampling run. Followers bound their wait by their
-   own deadline and fall back to a direct degraded run on expiry.
-   Coalescing is skipped when the rank-count cache already covers the
-   request (warm blocks are cheaper than waiting on a leader).
+   own deadline and fall back to a direct degraded run on expiry. A
+   warm repeat coalesces like any other request; with no concurrent
+   twin it simply runs as its own leader against the cached blocks.
 4. **Admission control** — a bounded queue ahead of a bounded executor;
    overflow is shed with ``429`` + ``Retry-After``; queue waits that
    outlive the deadline are admitted with an expired budget instead of
@@ -619,39 +619,16 @@ class RankingService:
         Deadlines and sample *caps* are excluded on purpose: they bound
         resources, not the answer, and followers bound their own waits.
         Budget-capped requests (``max_samples``) are never coalesced —
-        their results can legitimately differ from an uncapped run. A
-        warm rank-count cache also bypasses coalescing: the blocks are
-        already drawn, so sharing a leader would only serialize reads.
+        their results can legitimately differ from an uncapped run.
         """
         if not self.config.coalesce:
             return None
         if body.get("max_samples") is not None:
             return None
-        requested = spec_kwargs.get("samples")
-        if requested is None:
-            requested = self.engine.samples
-        depth = _rank_depth(spec_kwargs)
-        if (
-            spec_kwargs.get("seed") is None
-            and self.engine.sampling_coverage(int(requested), depth)
-            >= int(requested)
-        ):
-            self.metrics.inc("serve_coalesce_warm_bypass_total")
-            return None
         items: Tuple[Tuple[str, Any], ...] = tuple(
             sorted(spec_kwargs.items())
         )
         return (fingerprint, items)
-
-
-def _rank_depth(spec_kwargs: Dict[str, Any]) -> Optional[int]:
-    """The rank depth a spec needs from the rank-count store."""
-    kind = spec_kwargs.get("kind")
-    if kind == "utop_rank":
-        return spec_kwargs.get("j")
-    if kind in ("utop_prefix", "utop_set", "threshold_topk"):
-        return spec_kwargs.get("k")
-    return None
 
 
 def _overrun_result(

@@ -342,7 +342,7 @@ class TestCoalescing:
 
         asyncio.run(scenario())
 
-    def test_warm_cache_bypasses_coalescing(self):
+    def test_warm_repeat_coalesces_and_hits(self):
         async def scenario():
             engine = make_engine(samples=400)
             service = RankingService(
@@ -354,18 +354,19 @@ class TestCoalescing:
                     port, "POST", "/query", body=dict(self.SPEC)
                 )
                 assert first[0] == 200
-                # The cache now covers the spec: repeats are solo reads.
+                # A warm repeat with no concurrent twin leads its own
+                # flight and is served from the cached blocks.
                 again = await http_request(
                     port, "POST", "/query", body=dict(self.SPEC)
                 )
                 assert again[0] == 200
-                assert again[2]["serve"]["role"] == "solo"
+                assert again[2]["serve"]["role"] == "leader"
                 assert not again[2]["serve"]["coalesced"]
-                assert (
-                    service.metrics.counter_total(
-                        "serve_coalesce_warm_bypass_total"
-                    )
-                    >= 1
+                cache = again[2]["result"]["cache"]
+                assert (cache["misses"], cache["topups"]) == (0, 0)
+                assert cache["hits"] > 0
+                assert self.strip_volatile(again[2]) == self.strip_volatile(
+                    first[2]
                 )
             finally:
                 await service.shutdown()

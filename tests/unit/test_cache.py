@@ -9,10 +9,12 @@ Covers the four pillars of the cache design:
   budget, serially or on a block pool of any width, and under an
   active Budget);
 - engine-level wiring: repeated queries hit, mutations miss, and the
-  per-query ``QueryResult.cache`` delta reports it.
+  per-query ``QueryResult.cache`` counts report each query's own events,
+  even while another engine works on the same cache.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.core.cache import (
     ComputationCache,
     RankCountStore,
     fingerprint_records,
+    query_events,
     shared_cache,
 )
 from repro.core.chaos import FaultSchedule, FaultyDistribution
@@ -153,14 +156,22 @@ class TestTableFingerprint:
 
 class TestCacheStats:
     def test_delta(self):
-        before = CacheStats(hits=2, misses=5, evictions=1, bytes=10,
-                            topups=0, entries=3)
-        after = CacheStats(hits=7, misses=6, evictions=1, bytes=900,
-                           topups=2, entries=8)
-        d = after.delta(before)
-        assert (d.hits, d.misses, d.evictions, d.topups) == (5, 1, 0, 2)
-        # bytes/entries are absolute gauges, not counters
-        assert d.bytes == 900 and d.entries == 8
+        # A query's tally holds only the events inside its block; the
+        # cache's totals keep counting across blocks.
+        cache = ComputationCache(max_entries=2)
+        cache.artifact("k", 0, lambda: 0)
+        with query_events() as tally:
+            cache.artifact("k", 0, lambda: 0)
+            cache.artifact("k", 1, lambda: 1)
+            cache.artifact("k", 2, lambda: 2)  # evicts entry 0
+            with query_events() as inner:
+                cache.artifact("k", 2, lambda: 2)
+        cache.artifact("k", 3, lambda: 3)
+        assert tally == Counter(hits=1, misses=2, evictions=1)
+        assert inner == Counter(hits=1)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (2, 4, 2)
+        assert stats.entries == 2
 
     def test_to_dict_keys(self):
         keys = set(CacheStats().to_dict())
@@ -187,20 +198,16 @@ class TestArtifact:
         assert cache.artifact("k", 2, lambda: "b") == "b"
         assert cache.artifact("other", 1, lambda: "c") == "c"
 
-    def test_invalidate_and_contains(self):
-        cache = ComputationCache()
+    def test_contains_does_not_touch_lru(self):
+        cache = ComputationCache(max_entries=2)
         cache.artifact("k", 1, lambda: "a")
+        cache.artifact("k", 2, lambda: "b")
         assert cache.contains("k", 1)
-        assert cache.invalidate("k", 1)
+        assert not cache.contains("k", 3)
+        cache.artifact("k", 3, lambda: "c")
+        # The probe left entry 1 least recently used, so it went first.
         assert not cache.contains("k", 1)
-        assert not cache.invalidate("k", 1)
-
-    def test_clear_resets(self):
-        cache = ComputationCache()
-        cache.artifact("k", 1, lambda: "a")
-        cache.clear()
-        stats = cache.stats()
-        assert stats.entries == 0 and stats.misses == 0
+        assert cache.contains("k", 2) and cache.contains("k", 3)
 
     def test_lru_eviction_by_entries(self):
         cache = ComputationCache(max_entries=3)
@@ -547,6 +554,46 @@ class TestEngineCache:
         # caps the 752-sample extension at 200 fresh draws.
         assert budget.samples_used == 200
         assert clipped.partial
+
+    def test_concurrent_query_counts_only_its_own_events(
+        self, monkeypatch
+    ):
+        # Engine A's warm repeat is held inside its evaluator while
+        # engine B runs a cold query on the same cache: B's misses must
+        # not show up in A's per-query counts.
+        import repro.core.engine as engine_module
+
+        cache = ComputationCache()
+        warm = RankingEngine(small_db(20, seed=1), samples=500, cache=cache)
+        cold = RankingEngine(small_db(20, seed=2), samples=500, cache=cache)
+        warm.utop_rank(1, 3, method="montecarlo")
+        paused, resume = threading.Event(), threading.Event()
+        select = engine_module.select_top_rank_candidates
+
+        def held(*args, **kwargs):
+            if threading.current_thread() is thread:
+                paused.set()
+                assert resume.wait(30.0)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "select_top_rank_candidates", held)
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault(
+                "warm", warm.utop_rank(1, 3, method="montecarlo")
+            )
+        )
+        thread.start()
+        try:
+            assert paused.wait(30.0)
+            other = cold.utop_rank(1, 3, method="montecarlo")
+        finally:
+            resume.set()
+            thread.join(30.0)
+        assert other.cache["misses"] > 0
+        assert results["warm"].cache["misses"] == 0
+        assert results["warm"].cache["topups"] == 0
+        assert results["warm"].cache["hits"] > 0
 
 
 class _StallingBlockZero(MonteCarloEvaluator):

@@ -118,8 +118,6 @@ class TestCorrelatedEvaluator:
             records, GaussianCopula(np.eye(3)), rng=np.random.default_rng(8)
         )
         with pytest.raises(QueryError):
-            evaluator.prefix_probability_cdf(["a", "b"], 100)
-        with pytest.raises(QueryError):
             evaluator.prefix_probability_sis(["a", "b"], 100)
         with pytest.raises(QueryError):
             evaluator.top_set_probability_cdf(["a", "b"], 100)

@@ -280,3 +280,59 @@ class TestMixtureScore:
             [UniformScore(0.0, 2.0), UniformScore(4.0, 6.0)], [3.0, 1.0]
         )
         assert m.mean() == pytest.approx(0.75 * 1.0 + 0.25 * 5.0)
+
+    @pytest.mark.parametrize(
+        "components, weights",
+        [
+            ([UniformScore(0.0, 1.0), UniformScore(0.5, 2.0)], [1.0, 2.0]),
+            (
+                [
+                    TruncatedGaussianScore(1.0, 0.3, 0.0, 2.0),
+                    TriangularScore(0.5, 1.0, 3.0),
+                ],
+                [0.3, 0.7],
+            ),
+            (
+                [
+                    TruncatedExponentialScore(2.0, 0.0, 3.0),
+                    HistogramScore([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0]),
+                ],
+                [1.0, 1.0],
+            ),
+        ],
+        ids=["uniforms", "gaussian-triangular", "exponential-histogram"],
+    )
+    def test_ppf_bisects_every_quantile_at_once(self, components, weights):
+        class Counting(MixtureScore):
+            calls = 0
+
+            def cdf(self, x):
+                Counting.calls += 1
+                return super().cdf(x)
+
+        def scalar_bisection(m, qi):
+            lo, hi = m.lower, m.upper
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if MixtureScore.cdf(m, mid) < qi:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        m = Counting(components, weights)
+        q = np.concatenate(
+            [[0.0, 0.5, 1.0], np.random.default_rng(3).random(4_997)]
+        )
+        out = m.ppf(q)
+        # One batched CDF call per halving, not one per quantile.
+        assert Counting.calls <= 60
+        # Each quantile's halvings are elementwise, so a sample of them
+        # pins the whole batch to the one-at-a-time reference, bit for
+        # bit (0, 0.5 and 1 included).
+        picked = np.r_[0:3, 3:len(q):50]
+        expected = np.array([scalar_bisection(m, qi) for qi in q[picked]])
+        assert np.array_equal(out[picked], expected)
+        scalar = m.ppf(0.25)
+        assert isinstance(scalar, float)
+        assert scalar == scalar_bisection(m, 0.25)

@@ -356,11 +356,6 @@ class TestPrefixEstimators:
             self.PREFIX, SAMPLES
         ) == pytest.approx(self.TRUTH, abs=TOL)
 
-    def test_cdf_estimator(self, sampler):
-        assert sampler.prefix_probability_cdf(
-            self.PREFIX, SAMPLES
-        ) == pytest.approx(self.TRUTH, abs=TOL)
-
     def test_sis_estimator(self, sampler):
         assert sampler.prefix_probability_sis(
             self.PREFIX, SAMPLES
@@ -381,9 +376,9 @@ class TestPrefixEstimators:
             paper_db, rng=np.random.default_rng(123)
         )
         sis = sampler.prefix_probability_sis(prefix, SAMPLES)
-        cdf = sampler.prefix_probability_cdf(prefix, SAMPLES)
+        indicator = sampler.prefix_probability(prefix, SAMPLES)
         assert sis == pytest.approx(truth, abs=TOL)
-        assert cdf == pytest.approx(truth, abs=TOL)
+        assert indicator == pytest.approx(truth, abs=TOL)
 
     def test_sis_variance_lower_than_indicator(self, paper_db):
         # For a fixed small sample budget, SIS should deviate less from
@@ -412,8 +407,6 @@ class TestPrefixEstimators:
             sampler.prefix_probability(["t1", "t1"], 100)
         with pytest.raises(QueryError):
             sampler.prefix_probability_sis(["t1", "t1"], 100)
-        with pytest.raises(QueryError):
-            sampler.prefix_probability_cdf(["t1", "t1"], 100)
 
 
 class TestSetEstimators:
@@ -568,12 +561,14 @@ class TestSISEdgeCases:
             ["a", "b"], SAMPLES
         ) == pytest.approx(truth, abs=TOL)
 
-    def test_agrees_with_cdf_estimator_on_mixed_families(self, mixed_db):
+    def test_agrees_with_indicator_estimator_on_mixed_families(
+        self, mixed_db
+    ):
         sampler = MonteCarloEvaluator(mixed_db, seed=17)
         for prefix in (["u1"], ["g1", "u1"], ["u1", "g1", "c1"]):
             sis = sampler.prefix_probability_sis(prefix, SAMPLES, seed=4)
-            cdf = sampler.prefix_probability_cdf(prefix, SAMPLES, seed=4)
-            assert sis == pytest.approx(cdf, abs=TOL), prefix
+            indicator = sampler.prefix_probability(prefix, SAMPLES, seed=4)
+            assert sis == pytest.approx(indicator, abs=TOL), prefix
 
 
 class TestPerCallSeeds:

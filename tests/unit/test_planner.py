@@ -13,10 +13,10 @@ Covers the two layers of planning a budgeted ``method="auto"`` query:
   block under a sample cap, and ``explain()``'s plan block, which
   queries run before cannot change.
 
-Plus the read-only coverage probes the serving layer's coalescer
-consumes (``RankingEngine.sampling_coverage`` /
-``ComputationCache.rank_count_coverage``): empty caches, partial-block
-coverage straddling a top-up boundary, and version-bumped fingerprints
+Plus rank-count block coverage as queries see it, through their own
+cache counts (hits, top-ups, misses), the ``sample`` span's counters
+and ``RankCountStore.coverage``: empty caches, partial-block coverage
+straddling a top-up boundary, depth, and version-bumped fingerprints
 after a table mutation.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.cache import SAMPLE_BLOCK, ComputationCache
+from repro.core.cache import SAMPLE_BLOCK, RankCountStore
 from repro.core.correlation import GaussianCopula
 from repro.core.costmodel import (
     DEADLINE_HEADROOM,
@@ -390,12 +390,12 @@ class TestEngineIntegration:
         engine = RankingEngine(overlapping_db(30), seed=3)
         seeded = 2 * SAMPLE_BLOCK
         engine.utop_rank(1, 5, method="montecarlo", samples=seeded)
-        assert engine.sampling_coverage(seeded, max_rank=5) == seeded
         result = engine.utop_rank(
             1, 5, samples=100_000, budget=Budget(max_samples=500),
             trace=True,
         )
         assert result.method == "montecarlo"
+        assert result.cache["topups"] == 1
         assert result.partial
         assert result.confidence_half_width is not None
         sample = next(
@@ -407,7 +407,10 @@ class TestEngineIntegration:
         # The covered blocks are served free of the sample cap, and the
         # cap's whole grant is drawn fresh on top of them.
         assert done == seeded + 500
-        assert engine.sampling_coverage(done, max_rank=5) == done
+        # The grant-clipped piece is cached under its drawn size, so a
+        # request for exactly ``done`` samples is served whole.
+        again = engine.utop_rank(1, 5, method="montecarlo", samples=done)
+        assert (again.cache["misses"], again.cache["topups"]) == (0, 0)
 
     @pytest.mark.parametrize(
         "kind, depth",
@@ -477,54 +480,80 @@ class TestEngineIntegration:
             engine.query(replace(spec, method="exact"))
 
 
+def _sample_counts(result):
+    """The ``cache_*`` counters of a traced result's ``sample`` span."""
+    node = next(
+        node for node in walk_spans(result.trace.to_dict())
+        if node["name"] == "sample"
+    )
+    return {
+        key: value for key, value in node["attributes"].items()
+        if key.startswith("cache_")
+    }
+
+
 class TestCoverageProbes:
-    """The read-only probes behind the serving layer's coalescing."""
+    """Rank-count block coverage, as each query's own counts report it."""
 
     def test_empty_cache_has_zero_coverage(self):
+        assert RankCountStore().coverage(1_000, 3) == 0
+        assert RankCountStore().coverage(1_000, 3, tally=True) == 0
         engine = RankingEngine(overlapping_db(10), seed=3)
-        assert engine.sampling_coverage(1_000) == 0
-        assert engine.sampling_coverage(1_000, max_rank=3) == 0
-        cache = ComputationCache()
-        assert cache.rank_count_coverage("no-such-fp", "b", 1_000, 3) == 0
-        assert cache.rank_count_coverage("no-such-fp", "b", 0, 3) == 0
+        for kind in ("utop_rank", "utop_prefix"):
+            spec = (
+                Query(kind=kind, i=1, j=3, method="montecarlo")
+                if kind == "utop_rank"
+                else Query(kind=kind, k=3, method="montecarlo")
+            )
+            first = engine.query(replace(spec, samples=1_000, trace=True))
+            assert first.cache["topups"] == 0
+            assert _sample_counts(first) == {"cache_misses": 1.0}
 
     def test_partial_block_straddles_topup_boundary(self):
-        engine = RankingEngine(overlapping_db(10), seed=3)
+        registry = MetricsRegistry()
+        engine = RankingEngine(overlapping_db(10), seed=3, metrics=registry)
         first = SAMPLE_BLOCK + 100
-        engine.utop_rank(1, 3, method="montecarlo", samples=first)
-        # The exact decomposition drawn is covered in full...
-        assert engine.sampling_coverage(first, max_rank=3) == first
-        # ...but a larger request straddles the remainder piece: only
-        # the full block serves; the (1, 200) remainder is missing.
-        assert (
-            engine.sampling_coverage(first + 100, max_rank=3)
-            == SAMPLE_BLOCK
-        )
-        assert (
-            engine.sampling_coverage(2 * SAMPLE_BLOCK, max_rank=3)
-            == SAMPLE_BLOCK
-        )
-        # Topping up to two full blocks keeps the old remainder piece:
-        # both decompositions now serve from cache.
-        engine.utop_rank(
-            1, 3, method="montecarlo", samples=2 * SAMPLE_BLOCK
-        )
-        assert (
-            engine.sampling_coverage(2 * SAMPLE_BLOCK, max_rank=3)
-            == 2 * SAMPLE_BLOCK
-        )
-        assert engine.sampling_coverage(first, max_rank=3) == first
+
+        def run(samples):
+            before = registry.counter_total("samples_drawn_total")
+            result = engine.utop_rank(
+                1, 3, method="montecarlo", samples=samples
+            )
+            fresh = registry.counter_total("samples_drawn_total") - before
+            return result.cache, fresh
+
+        cache, fresh = run(first)
+        assert cache["misses"] > 0 and fresh == first
+        # A larger request straddles the remainder piece: only the full
+        # block serves; the (1, 200) remainder is drawn.
+        cache, fresh = run(first + 100)
+        assert (cache["misses"], cache["topups"], fresh) == (0, 1, 200)
+        cache, fresh = run(2 * SAMPLE_BLOCK)
+        assert (cache["misses"], cache["topups"]) == (0, 1)
+        assert fresh == SAMPLE_BLOCK
+        # Topping up to two full blocks keeps the old remainder pieces:
+        # every decomposition drawn so far now serves from cache.
+        for samples in (2 * SAMPLE_BLOCK, first, first + 100):
+            cache, fresh = run(samples)
+            assert (cache["misses"], cache["topups"], fresh) == (0, 0, 0)
 
     def test_deeper_rank_probe_misses_shallow_pieces(self):
-        engine = RankingEngine(overlapping_db(10), seed=3)
-        engine.utop_rank(1, 3, method="montecarlo", samples=SAMPLE_BLOCK)
-        assert (
-            engine.sampling_coverage(SAMPLE_BLOCK, max_rank=3)
-            == SAMPLE_BLOCK
-        )
-        # Pieces were stored at rank depth 3; a depth-5 probe cannot be
-        # served by slicing and must report cold.
-        assert engine.sampling_coverage(SAMPLE_BLOCK, max_rank=5) == 0
+        engine = RankingEngine(overlapping_db(10), seed=3, trace=True)
+
+        def counts(j):
+            return _sample_counts(
+                engine.utop_rank(
+                    1, j, method="montecarlo", samples=SAMPLE_BLOCK
+                )
+            )
+
+        assert counts(3) == {"cache_misses": 1.0}
+        # Pieces were stored at rank depth 3; a depth-5 request cannot
+        # be served by slicing and must draw cold...
+        assert counts(5) == {"cache_misses": 1.0}
+        # ...after which the deeper pieces serve both depths.
+        assert counts(5) == {"cache_hits": 1.0}
+        assert counts(3) == {"cache_hits": 1.0}
 
     def test_table_mutation_bumps_fingerprint_and_resets_coverage(self):
         rows = [
@@ -534,25 +563,27 @@ class TestCoverageProbes:
         ]
         table = UncertainTable("t", ["id", "score"], rows)
         engine = RankingEngine.from_table(
-            table, AttributeScore("score", domain=(0.0, 20.0)), seed=0
+            table, AttributeScore("score", domain=(0.0, 20.0)), seed=0,
+            trace=True,
         )
-        engine.utop_rank(1, 2, method="montecarlo", samples=SAMPLE_BLOCK)
+
+        def counts():
+            return _sample_counts(
+                engine.utop_rank(
+                    1, 2, method="montecarlo", samples=SAMPLE_BLOCK
+                )
+            )
+
+        assert counts() == {"cache_misses": 1.0}
+        assert counts() == {"cache_hits": 1.0}
         old_fp = engine.database_fingerprint
-        assert (
-            engine.sampling_coverage(SAMPLE_BLOCK, max_rank=2)
-            == SAMPLE_BLOCK
-        )
         with table.mutate() as batch:
             batch.update("c", "score", IntervalValue(15.0, 19.0))
-        # The probe re-extracts: new fingerprint, cold store — rank
+        # The query re-extracts: new fingerprint, cold store — rank
         # counts are deliberately not migrated (the sampling plan
-        # couples the RNG layout to the full record subset), so
-        # coverage features must see the cold store, not a stale block.
+        # couples the RNG layout to the full record subset), so the
+        # query must draw afresh, not read a stale block.
         assert engine.database_fingerprint != old_fp
-        assert engine.sampling_coverage(SAMPLE_BLOCK, max_rank=2) == 0
+        assert counts() == {"cache_misses": 1.0}
         # Re-drawing under the new fingerprint warms it back up.
-        engine.utop_rank(1, 2, method="montecarlo", samples=SAMPLE_BLOCK)
-        assert (
-            engine.sampling_coverage(SAMPLE_BLOCK, max_rank=2)
-            == SAMPLE_BLOCK
-        )
+        assert counts() == {"cache_hits": 1.0}

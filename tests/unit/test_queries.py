@@ -5,43 +5,42 @@ import pytest
 from repro.core.errors import QueryError
 from repro.core.queries import (
     PrefixAnswer,
+    Query,
     QueryResult,
-    RankAggQuery,
     RecordAnswer,
     SetAnswer,
-    UTopPrefixQuery,
-    UTopRankQuery,
-    UTopSetQuery,
 )
 
 
 class TestQueryValidation:
     def test_utop_rank_valid(self):
-        q = UTopRankQuery(1, 5, l=2)
+        q = Query(kind="utop_rank", i=1, j=5, l=2)
         assert (q.i, q.j, q.l) == (1, 5, 2)
 
     def test_utop_rank_invalid(self):
         with pytest.raises(QueryError):
-            UTopRankQuery(0, 5)
+            Query(kind="utop_rank", i=0, j=5)
         with pytest.raises(QueryError):
-            UTopRankQuery(3, 2)
+            Query(kind="utop_rank", i=3, j=2)
         with pytest.raises(QueryError):
-            UTopRankQuery(1, 2, l=0)
+            Query(kind="utop_rank", i=1, j=2, l=0)
 
     def test_utop_prefix_invalid(self):
         with pytest.raises(QueryError):
-            UTopPrefixQuery(0)
+            Query(kind="utop_prefix", k=0)
         with pytest.raises(QueryError):
-            UTopPrefixQuery(3, l=-1)
+            Query(kind="utop_prefix", k=3, l=-1)
 
     def test_utop_set_invalid(self):
         with pytest.raises(QueryError):
-            UTopSetQuery(0)
+            Query(kind="utop_set", k=0)
 
     def test_rank_agg_distance(self):
-        assert RankAggQuery().distance == "footrule"
-        with pytest.raises(QueryError):
-            RankAggQuery(distance="kendall")
+        # Rank-Agg is the footrule consensus (Theorem 2): the spec needs
+        # no rank bounds and has no field to ask for another distance.
+        assert Query(kind="rank_aggregation").k is None
+        with pytest.raises(TypeError):
+            Query(kind="rank_aggregation", distance="kendall")
 
 
 class TestAnswers:

@@ -7,7 +7,8 @@ Three families of guarantees:
 - the observability layer is faithful — traces appear exactly per the
   ``trace=`` knobs, top-level stage spans account for the root's wall
   time, and the metrics counters reconcile with the engine's own
-  ``CacheStats`` and sample accounting over a mixed workload;
+  ``CacheStats``, the per-query cache counts and the span tree's cache
+  counters, and the sample accounting over a mixed workload;
 - engines subscribe to table versions (``from_table``) and per-query
   seeds override constructor seeds.
 """
@@ -21,6 +22,7 @@ from repro.core.errors import QueryError
 from repro.core.metrics import MetricsRegistry
 from repro.core.queries import Query, QueryResult, RecordAnswer
 from repro.core.records import uniform
+from repro.core.trace import walk_spans
 from repro.db.attributes import IntervalValue
 from repro.db.scoring import AttributeScore
 from repro.db.table import UncertainTable
@@ -246,6 +248,66 @@ class TestMetricsReconciliation:
             "utop_set",
             "rank_aggregation",
         }
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: e.utop_rank(1, 4, method="montecarlo"),
+            lambda e: e.utop_prefix(3),
+            lambda e: e.utop_set(2, method="mcmc"),
+            lambda e: e.rank_aggregation(),
+        ],
+        ids=["utop_rank-mc", "utop_prefix", "utop_set-mcmc", "rank_agg"],
+    )
+    def test_per_query_counts_match_span_counters(self, call):
+        # One count, two views: the result's cache hits/misses/top-ups
+        # equal the cache_* attributes summed over its span tree, cold
+        # and warm alike.
+        engine = _engine(trace=True, cache=ComputationCache())
+        results = [call(engine), call(engine)]
+        for result in results:
+            spans = list(walk_spans(result.trace.to_dict()))
+            for event in ("hits", "misses", "topups"):
+                total = sum(
+                    node["attributes"].get(f"cache_{event}", 0.0)
+                    for node in spans
+                )
+                assert total == result.cache[event], event
+        cold, warm = results
+        assert cold.cache["misses"] > 0
+        assert warm.cache["misses"] == 0 and warm.cache["hits"] > 0
+
+    def test_delta_migrations_count_into_the_engine_registry(self):
+        rows = [
+            {"id": f"k{i}", "score": IntervalValue(float(i), i + 4.0)}
+            for i in range(6)
+        ]
+        table = UncertainTable("t", ["id", "score"], rows)
+        registry = MetricsRegistry()
+        engine = RankingEngine.from_table(
+            table,
+            AttributeScore("score", domain=(0.0, 20.0)),
+            seed=0,
+            samples=500,
+            mcmc_chains=2,
+            mcmc_steps=60,
+            prune=False,
+            metrics=registry,
+        )
+        # The MCMC walk fills the database's pairwise memo, which the
+        # migration then carries.
+        engine.utop_prefix(2, method="mcmc")
+        with table.mutate() as batch:
+            batch.update("k3", "score", IntervalValue(8.0, 12.0))
+        result = engine.utop_rank(1, 2)
+        carried = engine.last_migration.pairwise_carried
+        assert carried > 0
+        assert registry.counter_total("cache_migrations_total") == 1.0
+        assert registry.counter_total(
+            "cache_carried_entries_total"
+        ) == float(carried)
+        # The refresh runs before the query's window opens.
+        assert result.cache["migrations"] == 0
 
     def test_samples_drawn_reconcile_with_topup(self):
         registry = MetricsRegistry()
